@@ -3,8 +3,8 @@
 //! single rooted DAG, and the timeline reconstructed from those spans
 //! partitions the campaign's wall clock exactly.
 //!
-//! The memory sink is process-global, so this file holds exactly one
-//! test.
+//! The records come from `tunio_trace::capture`, which keeps only the
+//! campaign's own trace.
 
 use std::collections::{HashMap, HashSet};
 use tunio::pipeline::{
@@ -17,7 +17,6 @@ use tunio_workloads::{hacc, Variant};
 fn strategy_campaign_spans_form_a_single_rooted_dag_with_an_exact_timeline() {
     let wal = std::env::temp_dir().join("tunio_causal_dag.jsonl");
     let _ = std::fs::remove_file(&wal);
-    let sink = tunio_trace::install_memory_sink();
 
     let spec = CampaignSpec {
         app: hacc(),
@@ -33,10 +32,9 @@ fn strategy_campaign_spans_form_a_single_rooted_dag_with_an_exact_timeline() {
         threads: Some(4),
         ..CampaignOptions::default()
     };
-    let outcome =
-        run_strategy_campaign_opts(&spec, StrategyKind::Bo, &opts).expect("fault-free campaign");
-    tunio_trace::clear_sink();
-    let records = sink.take();
+    let (outcome, records) = tunio_trace::capture(|| {
+        run_strategy_campaign_opts(&spec, StrategyKind::Bo, &opts).expect("fault-free campaign")
+    });
     let _ = std::fs::remove_file(&wal);
 
     // --- DAG structure ------------------------------------------------

@@ -113,13 +113,11 @@ fn gate_flags_injected_two_x_slowdown() {
 #[test]
 fn trace_carries_layer_events_and_report_renders_attribution() {
     // The trace-side view of the tentpole: `profile.layer` events per
-    // generation, folded by tunio-report into a table and tree. Memory
-    // sink installation is process-global, so this is the only test in
-    // this binary that touches the tracer.
-    let sink = tunio_trace::install_memory_sink();
-    let outcome: CampaignOutcome = run_campaign(&smoke_spec()).expect("fault-free campaign");
-    tunio_trace::clear_sink();
-    let records = sink.take();
+    // generation, folded by tunio-report into a table and tree. The
+    // capture holds only this campaign's trace, so the sibling tests'
+    // campaigns running at the same time cannot add a summary.
+    let (outcome, records): (CampaignOutcome, _) =
+        tunio_trace::capture(|| run_campaign(&smoke_spec()).expect("fault-free campaign"));
 
     let layer_events: Vec<_> = records
         .iter()

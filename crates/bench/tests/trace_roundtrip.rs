@@ -1,15 +1,15 @@
-//! End-to-end trace round-trip: run a real campaign with the JSON-lines
-//! sink installed, then feed the file through the tunio-report summarizer
-//! and check the reconstruction against the in-process `TuningTrace`.
+//! End-to-end trace round-trip: capture a real campaign's trace, write it
+//! through the JSON-lines sink, then feed the file through the
+//! tunio-report summarizer and check the reconstruction against the
+//! in-process `TuningTrace`.
 
 use tunio::pipeline::{run_campaign, CampaignSpec, PipelineKind};
-use tunio_trace::report;
+use tunio_trace::{report, JsonlSink, Sink};
 use tunio_workloads::{hacc, Variant};
 
 #[test]
 fn campaign_jsonl_trace_round_trips_through_report() {
     let path = std::env::temp_dir().join("tunio_trace_roundtrip.jsonl");
-    tunio_trace::install_jsonl_sink(&path).expect("open sink");
 
     let spec = CampaignSpec {
         app: hacc(),
@@ -20,8 +20,15 @@ fn campaign_jsonl_trace_round_trips_through_report() {
         seed: 7,
         large_scale: false,
     };
-    let outcome = run_campaign(&spec).expect("fault-free campaign");
-    tunio_trace::clear_sink();
+    let (outcome, records) =
+        tunio_trace::capture(|| run_campaign(&spec).expect("fault-free campaign"));
+    {
+        let sink = JsonlSink::create(&path).expect("open sink");
+        for r in &records {
+            sink.emit(r);
+        }
+        sink.flush();
+    }
 
     let text = std::fs::read_to_string(&path).expect("read trace");
     std::fs::remove_file(&path).ok();
@@ -45,7 +52,7 @@ fn campaign_jsonl_trace_round_trips_through_report() {
     }
 
     // Every generation got a heuristic stop verdict, and the cache
-    // counters made it into the summary via the metric flush.
+    // counters made it into the summary via `campaign.done`.
     assert_eq!(s.decisions.len(), s.generations.len());
     assert!(s.evaluations.unwrap() > 0);
     assert!(s.cache_hits.is_some());

@@ -207,6 +207,22 @@ mod persistence_tests {
         let mut b = TunIo::pretrained(&space, ClusterSpec::cori_4node(), 20, 999);
         let ranking_before = b.smart_config.analysis.ranking.clone();
         b.load_into(&path).unwrap();
+
+        // A weight written as `1e999` parses as +inf. Whether it sits in
+        // the smart-config picker (first network in the file) or in the
+        // early-stop agent (last), loading must fail with InvalidData
+        // instead of installing a network whose Q-values are all NaN.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let key = "\\\"w\\\":[";
+        for at in [text.find(key).unwrap(), text.rfind(key).unwrap()] {
+            let start = at + key.len();
+            let end = start + text[start..].find(',').unwrap();
+            let poisoned = format!("{}1e999{}", &text[..start], &text[end..]);
+            std::fs::write(&path, poisoned).unwrap();
+            let err = b.load_into(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("non-finite weight"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
 
         assert_eq!(

@@ -1,7 +1,25 @@
 //! Dense feed-forward networks with backpropagation.
+//!
+//! ## The learning kernel
+//!
+//! Every learner in the workspace (the Q-learning agents, the contextual
+//! bandit, the BO surrogate) trains through [`Network::train_step`], so
+//! the kernel is written for speed under one constraint: it produces the
+//! same bits as the plain per-layer formulation kept in `reference`.
+//!
+//! * No allocation per step. Activations, deltas and the Q-target live
+//!   in a per-thread scratch outside [`Network`], and so outside its
+//!   serialized form.
+//! * Every floating-point sum keeps its order, division stays division,
+//!   and no multiply-add is fused.
+//! * Gradients are never stored: each weight row is updated in the pass
+//!   that propagates its delta, and the delta handed to the layer below
+//!   is read from the pre-update weights.
+//! * Adam's bias corrections are computed once per step, not per layer.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,6 +76,66 @@ pub enum Optimizer {
     },
 }
 
+const B1: f64 = 0.9;
+const B2: f64 = 0.999;
+const EPS: f64 = 1e-8;
+
+/// One optimizer step's constants, computed once per training step.
+#[derive(Clone, Copy)]
+enum Step {
+    Sgd { lr: f64 },
+    Adam { lr: f64, bc1: f64, bc2: f64 },
+}
+
+impl Step {
+    fn new(optimizer: Optimizer, t: u64) -> Self {
+        match optimizer {
+            Optimizer::Sgd { lr } => Step::Sgd { lr },
+            Optimizer::Adam { lr } => Step::Adam {
+                lr,
+                bc1: 1.0 - B1.powi(t as i32),
+                bc2: 1.0 - B2.powi(t as i32),
+            },
+        }
+    }
+
+    /// Update `params[i]` (Adam moments `m[i]`, `v[i]`) by the gradient
+    /// `d * xs[i]`.
+    #[inline]
+    fn apply(self, params: &mut [f64], m: &mut [f64], v: &mut [f64], d: f64, xs: &[f64]) {
+        match self {
+            Step::Sgd { lr } => {
+                for (p, x) in params.iter_mut().zip(xs) {
+                    *p -= lr * (d * x);
+                }
+            }
+            Step::Adam { lr, bc1, bc2 } => {
+                for (((p, m), v), x) in params.iter_mut().zip(m).zip(v).zip(xs) {
+                    adam(p, m, v, d * x, lr, bc1, bc2);
+                }
+            }
+        }
+    }
+
+    /// Update one parameter by the gradient `g`.
+    #[inline]
+    fn apply_one(self, p: &mut f64, m: &mut f64, v: &mut f64, g: f64) {
+        match self {
+            Step::Sgd { lr } => *p -= lr * g,
+            Step::Adam { lr, bc1, bc2 } => adam(p, m, v, g, lr, bc1, bc2),
+        }
+    }
+}
+
+#[inline(always)]
+fn adam(p: &mut f64, m: &mut f64, v: &mut f64, g: f64, lr: f64, bc1: f64, bc2: f64) {
+    *m = B1 * *m + (1.0 - B1) * g;
+    *v = B2 * *v + (1.0 - B2) * g * g;
+    let m_hat = *m / bc1;
+    let v_hat = *v / bc2;
+    *p -= lr * m_hat / (v_hat.sqrt() + EPS);
+}
+
 /// One dense layer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Dense {
@@ -94,19 +172,84 @@ impl Dense {
         }
     }
 
-    fn forward(&self, x: &[f64]) -> Vec<f64> {
+    /// Write the activated outputs for input `x` into `out`.
+    fn forward_into(&self, x: &[f64], out: &mut [f64]) {
         debug_assert_eq!(x.len(), self.inputs);
-        (0..self.outputs)
-            .map(|o| {
-                let mut acc = self.b[o];
-                let row = &self.w[o * self.inputs..(o + 1) * self.inputs];
-                for (wi, xi) in row.iter().zip(x) {
-                    acc += wi * xi;
-                }
-                self.act.apply(acc)
-            })
-            .collect()
+        let n = self.inputs;
+        // Rows go in pairs: each row's sum keeps its own order, and the
+        // two independent dependency chains overlap in the pipeline.
+        let mut pairs = out.chunks_exact_mut(2);
+        let mut o = 0;
+        for pair in &mut pairs {
+            let (mut acc0, mut acc1) = (self.b[o], self.b[o + 1]);
+            let rows = self.w[o * n..(o + 1) * n]
+                .iter()
+                .zip(&self.w[(o + 1) * n..(o + 2) * n]);
+            for ((w0, w1), xi) in rows.zip(x) {
+                acc0 += w0 * xi;
+                acc1 += w1 * xi;
+            }
+            pair[0] = self.act.apply(acc0);
+            pair[1] = self.act.apply(acc1);
+            o += 2;
+        }
+        for y in pairs.into_remainder() {
+            let mut acc = self.b[o];
+            for (wi, xi) in self.w[o * n..(o + 1) * n].iter().zip(x) {
+                acc += wi * xi;
+            }
+            *y = self.act.apply(acc);
+        }
     }
+
+    /// Backpropagate `delta` (dL/d activated output) through the layer
+    /// and apply `step`. `input` and `out` are the layer's cached input
+    /// and activated output. `d_prev`, when given, receives dL/d input
+    /// accumulated from the pre-update weights.
+    fn backward(
+        &mut self,
+        step: Step,
+        input: &[f64],
+        out: &[f64],
+        delta: &[f64],
+        mut d_prev: Option<&mut [f64]>,
+    ) {
+        let n = self.inputs;
+        for o in 0..self.outputs {
+            let d = delta[o] * self.act.derivative_from_output(out[o]);
+            let row = o * n..(o + 1) * n;
+            if let Some(d_prev) = d_prev.as_deref_mut() {
+                for (p, w) in d_prev.iter_mut().zip(&self.w[row.clone()]) {
+                    *p += d * w;
+                }
+            }
+            step.apply(
+                &mut self.w[row.clone()],
+                &mut self.m_w[row.clone()],
+                &mut self.v_w[row],
+                d,
+                input,
+            );
+            step.apply_one(&mut self.b[o], &mut self.m_b[o], &mut self.v_b[o], d);
+        }
+    }
+}
+
+/// Per-thread working memory of the kernel.
+#[derive(Default)]
+struct Scratch {
+    /// Every layer's activated output, concatenated in layer order.
+    acts: Vec<f64>,
+    /// Training target of [`Network::train_q_target`].
+    target: Vec<f64>,
+    /// dL/d activated output of the layer being backpropagated.
+    delta: Vec<f64>,
+    /// dL/d input of that layer, i.e. the next `delta`.
+    d_prev: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// A dense feed-forward network trained with backprop + MSE loss.
@@ -158,22 +301,217 @@ impl Network {
         self.layers.last().map(|l| l.outputs).unwrap_or(0)
     }
 
+    /// Check a network read from outside the process: consecutive layer
+    /// shapes agree, every buffer has its layer's length, and every
+    /// weight, bias, Adam moment and the learning rate is finite (second
+    /// moments also non-negative). A single `inf` weight would turn
+    /// every output into NaN.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.layers.is_empty() {
+            return Err("network has no layers".into());
+        }
+        let (Optimizer::Sgd { lr } | Optimizer::Adam { lr }) = self.optimizer;
+        if !lr.is_finite() {
+            return Err(format!("non-finite learning rate {lr}"));
+        }
+        for (li, l) in self.layers.iter().enumerate() {
+            if li > 0 && l.inputs != self.layers[li - 1].outputs {
+                return Err(format!(
+                    "layer {li} takes {} inputs but layer {} emits {}",
+                    l.inputs,
+                    li - 1,
+                    self.layers[li - 1].outputs
+                ));
+            }
+            let n = l.inputs.checked_mul(l.outputs);
+            let sized = [&l.w, &l.m_w, &l.v_w].iter().all(|v| Some(v.len()) == n)
+                && [&l.b, &l.m_b, &l.v_b].iter().all(|v| v.len() == l.outputs);
+            if !sized {
+                return Err(format!(
+                    "layer {li} buffers do not match its {}x{} shape",
+                    l.outputs, l.inputs
+                ));
+            }
+            let buffers = [
+                ("weight", &l.w),
+                ("bias", &l.b),
+                ("Adam first moment", &l.m_w),
+                ("Adam first moment", &l.m_b),
+                ("Adam second moment", &l.v_w),
+                ("Adam second moment", &l.v_b),
+            ];
+            for (what, values) in buffers {
+                if let Some(v) = values.iter().find(|v| !v.is_finite()) {
+                    return Err(format!("layer {li} has a non-finite {what} ({v})"));
+                }
+            }
+            if let Some(v) = l.v_w.iter().chain(&l.v_b).find(|v| **v < 0.0) {
+                return Err(format!(
+                    "layer {li} has a negative Adam second moment ({v})"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Forward pass.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut a = x.to_vec();
-        for layer in &self.layers {
-            a = layer.forward(&a);
+        SCRATCH.with(|s| self.forward_cached(x, &mut s.borrow_mut().acts).to_vec())
+    }
+
+    /// Forward pass leaving every layer's activated output in `acts`;
+    /// returns the network's output.
+    fn forward_cached<'a>(&self, x: &'a [f64], acts: &'a mut Vec<f64>) -> &'a [f64] {
+        acts.resize(self.layers.iter().map(|l| l.outputs).sum(), 0.0);
+        let (mut in_start, mut start) = (0, 0);
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = acts.split_at_mut(start);
+            let input = if li == 0 { x } else { &done[in_start..] };
+            layer.forward_into(input, &mut rest[..layer.outputs]);
+            in_start = start;
+            start += layer.outputs;
         }
-        a
+        if self.layers.is_empty() {
+            x
+        } else {
+            &acts[in_start..start]
+        }
     }
 
     /// One backprop step on a single example; returns the MSE loss before
     /// the update.
     pub fn train_step(&mut self, x: &[f64], target: &[f64]) -> f64 {
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            self.forward_cached(x, &mut s.acts);
+            self.backprop(x, target, &s.acts, &mut s.delta, &mut s.d_prev)
+        })
+    }
+
+    /// One [`train_step`](Self::train_step) toward the network's own
+    /// output for `x` with entry `index` replaced by `value` (the
+    /// Q-learning TD target), reusing the step's forward pass. Bitwise
+    /// equal to `let mut t = net.forward(x); t[index] = value;
+    /// net.train_step(x, &t)`.
+    ///
+    /// # Panics
+    /// If `index` is not below [`output_dim`](Self::output_dim).
+    pub fn train_q_target(&mut self, x: &[f64], index: usize, value: f64) -> f64 {
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            let output = self.forward_cached(x, &mut s.acts);
+            s.target.clear();
+            s.target.extend_from_slice(output);
+            s.target[index] = value;
+            self.backprop(x, &s.target, &s.acts, &mut s.delta, &mut s.d_prev)
+        })
+    }
+
+    /// Loss and backward pass of a step whose forward pass filled `acts`.
+    fn backprop(
+        &mut self,
+        x: &[f64],
+        target: &[f64],
+        acts: &[f64],
+        delta: &mut Vec<f64>,
+        d_prev: &mut Vec<f64>,
+    ) -> f64 {
+        let output = if self.layers.is_empty() {
+            x
+        } else {
+            &acts[acts.len() - self.output_dim()..]
+        };
+        debug_assert_eq!(output.len(), target.len());
+        let loss: f64 = output
+            .iter()
+            .zip(target)
+            .map(|(o, t)| (o - t).powi(2))
+            .sum::<f64>()
+            / output.len() as f64;
+        delta.clear();
+        delta.extend(
+            output
+                .iter()
+                .zip(target)
+                .map(|(o, t)| 2.0 * (o - t) / output.len() as f64),
+        );
+        self.t += 1;
+        let step = Step::new(self.optimizer, self.t);
+        let mut end = acts.len();
+        for li in (0..self.layers.len()).rev() {
+            let start = end - self.layers[li].outputs;
+            let input = if li == 0 {
+                x
+            } else {
+                &acts[start - self.layers[li - 1].outputs..start]
+            };
+            let layer = &mut self.layers[li];
+            // The first layer's input gradient has no consumer.
+            let d_prev_slot = if li > 0 {
+                d_prev.clear();
+                d_prev.resize(layer.inputs, 0.0);
+                Some(&mut d_prev[..])
+            } else {
+                None
+            };
+            layer.backward(step, input, &acts[start..end], delta, d_prev_slot);
+            std::mem::swap(delta, d_prev);
+            end = start;
+        }
+        loss
+    }
+
+    /// Train over a dataset for `epochs`; returns the final mean loss.
+    pub fn fit(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>], epochs: usize) -> f64 {
+        assert_eq!(xs.len(), ys.len());
+        let mut last = f64::NAN;
+        for _ in 0..epochs {
+            let mut total = 0.0;
+            for (x, y) in xs.iter().zip(ys) {
+                total += self.train_step(x, y);
+            }
+            last = total / xs.len().max(1) as f64;
+        }
+        last
+    }
+}
+
+/// The kernel as first written (allocating per layer, bias corrections
+/// per layer), kept as the bitwise oracle for the optimised kernel.
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
+pub mod reference {
+    use super::{Dense, Network, Optimizer};
+
+    /// Reference forward pass.
+    pub fn forward(net: &Network, x: &[f64]) -> Vec<f64> {
+        let mut a = x.to_vec();
+        for layer in &net.layers {
+            a = dense_forward(layer, &a);
+        }
+        a
+    }
+
+    fn dense_forward(layer: &Dense, x: &[f64]) -> Vec<f64> {
+        debug_assert_eq!(x.len(), layer.inputs);
+        (0..layer.outputs)
+            .map(|o| {
+                let mut acc = layer.b[o];
+                let row = &layer.w[o * layer.inputs..(o + 1) * layer.inputs];
+                for (wi, xi) in row.iter().zip(x) {
+                    acc += wi * xi;
+                }
+                layer.act.apply(acc)
+            })
+            .collect()
+    }
+
+    /// Reference training step.
+    pub fn train_step(net: &mut Network, x: &[f64], target: &[f64]) -> f64 {
         // Forward pass, caching activations.
         let mut activations: Vec<Vec<f64>> = vec![x.to_vec()];
-        for layer in &self.layers {
-            let next = layer.forward(activations.last().unwrap());
+        for layer in &net.layers {
+            let next = dense_forward(layer, activations.last().unwrap());
             activations.push(next);
         }
         let output = activations.last().unwrap();
@@ -191,12 +529,12 @@ impl Network {
             .zip(target)
             .map(|(o, t)| 2.0 * (o - t) / output.len() as f64)
             .collect();
-        self.t += 1;
-        for li in (0..self.layers.len()).rev() {
+        net.t += 1;
+        for li in (0..net.layers.len()).rev() {
             let input = activations[li].clone();
             let out = activations[li + 1].clone();
             let (d_prev, grads_w, grads_b) = {
-                let layer = &self.layers[li];
+                let layer = &net.layers[li];
                 let mut grads_w = vec![0.0; layer.w.len()];
                 let mut grads_b = vec![0.0; layer.outputs];
                 let mut d_prev = vec![0.0; layer.inputs];
@@ -210,9 +548,9 @@ impl Network {
                 }
                 (d_prev, grads_w, grads_b)
             };
-            let t = self.t;
-            let optimizer = self.optimizer;
-            let layer = &mut self.layers[li];
+            let t = net.t;
+            let optimizer = net.optimizer;
+            let layer = &mut net.layers[li];
             apply_update(
                 optimizer,
                 t,
@@ -234,49 +572,47 @@ impl Network {
         loss
     }
 
-    /// Train over a dataset for `epochs`; returns the final mean loss.
-    pub fn fit(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>], epochs: usize) -> f64 {
-        assert_eq!(xs.len(), ys.len());
-        let mut last = f64::NAN;
-        for _ in 0..epochs {
-            let mut total = 0.0;
-            for (x, y) in xs.iter().zip(ys) {
-                total += self.train_step(x, y);
+    fn apply_update(
+        optimizer: Optimizer,
+        t: u64,
+        params: &mut [f64],
+        m: &mut [f64],
+        v: &mut [f64],
+        grads: &[f64],
+    ) {
+        match optimizer {
+            Optimizer::Sgd { lr } => {
+                for (p, g) in params.iter_mut().zip(grads) {
+                    *p -= lr * g;
+                }
             }
-            last = total / xs.len().max(1) as f64;
+            Optimizer::Adam { lr } => {
+                const B1: f64 = 0.9;
+                const B2: f64 = 0.999;
+                const EPS: f64 = 1e-8;
+                let bc1 = 1.0 - B1.powi(t as i32);
+                let bc2 = 1.0 - B2.powi(t as i32);
+                for i in 0..params.len() {
+                    m[i] = B1 * m[i] + (1.0 - B1) * grads[i];
+                    v[i] = B2 * v[i] + (1.0 - B2) * grads[i] * grads[i];
+                    let m_hat = m[i] / bc1;
+                    let v_hat = v[i] / bc2;
+                    params[i] -= lr * m_hat / (v_hat.sqrt() + EPS);
+                }
+            }
         }
-        last
     }
-}
 
-fn apply_update(
-    optimizer: Optimizer,
-    t: u64,
-    params: &mut [f64],
-    m: &mut [f64],
-    v: &mut [f64],
-    grads: &[f64],
-) {
-    match optimizer {
-        Optimizer::Sgd { lr } => {
-            for (p, g) in params.iter_mut().zip(grads) {
-                *p -= lr * g;
+    /// Bit patterns of the whole learned state: the step counter, then per
+    /// layer its weights, biases and Adam moments.
+    pub fn state_bits(net: &Network) -> Vec<u64> {
+        let mut bits = vec![net.t];
+        for l in &net.layers {
+            for buf in [&l.w, &l.b, &l.m_w, &l.v_w, &l.m_b, &l.v_b] {
+                bits.extend(buf.iter().map(|v| v.to_bits()));
             }
         }
-        Optimizer::Adam { lr } => {
-            const B1: f64 = 0.9;
-            const B2: f64 = 0.999;
-            const EPS: f64 = 1e-8;
-            let bc1 = 1.0 - B1.powi(t as i32);
-            let bc2 = 1.0 - B2.powi(t as i32);
-            for i in 0..params.len() {
-                m[i] = B1 * m[i] + (1.0 - B1) * grads[i];
-                v[i] = B2 * v[i] + (1.0 - B2) * grads[i] * grads[i];
-                let m_hat = m[i] / bc1;
-                let v_hat = v[i] / bc2;
-                params[i] -= lr * m_hat / (v_hat.sqrt() + EPS);
-            }
-        }
+        bits
     }
 }
 

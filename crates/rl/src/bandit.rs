@@ -63,6 +63,7 @@ impl ContextObserver {
     /// Restore weights exported with [`Self::export_json`].
     pub fn import_json(&mut self, json: &str) -> Result<(), String> {
         let net: tunio_nn::Network = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        net.validate()?;
         if net.output_dim() != self.obs_dim {
             return Err("observer shape mismatch".into());
         }

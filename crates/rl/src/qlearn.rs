@@ -4,6 +4,8 @@ use crate::env::Env;
 use crate::replay::{ReplayBuffer, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
+use std::sync::OnceLock;
 use tunio_nn::{Activation, Network, Optimizer};
 use tunio_trace as trace;
 
@@ -60,7 +62,31 @@ pub struct QAgent {
     /// Current exploration rate.
     pub epsilon: f64,
     replay: ReplayBuffer,
+    /// Replay indices of the minibatch being learned (reused buffer).
+    batch: Vec<usize>,
     rng: StdRng,
+}
+
+/// `observe`'s metric handles, looked up once per process: a registry
+/// lookup takes the registry mutex, and pre-training observes ~10⁵ times.
+fn observation_metrics() -> &'static (trace::Counter, trace::Histogram) {
+    static METRICS: OnceLock<(trace::Counter, trace::Histogram)> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        (
+            trace::counter("tunio.rl.observations"),
+            trace::histogram("tunio.rl.reward"),
+        )
+    })
+}
+
+/// Index of the largest Q-value (the last one on ties). A NaN compares
+/// equal to everything instead of panicking.
+fn argmax(q: &[f64]) -> usize {
+    q.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(Ordering::Equal))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
 }
 
 impl QAgent {
@@ -89,6 +115,7 @@ impl QAgent {
             cfg,
             epsilon: cfg.epsilon_start,
             replay: ReplayBuffer::new(cfg.replay_capacity),
+            batch: Vec::with_capacity(cfg.batch),
             rng,
         }
     }
@@ -112,12 +139,17 @@ impl QAgent {
     }
 
     /// Restore Q-network weights exported with [`Self::export_json`].
-    /// Exploration state and replay contents are not persisted.
+    /// Exploration state and replay contents are not persisted. A
+    /// malformed network (wrong shape, non-finite weight or Adam moment)
+    /// is refused with `Err` and leaves the agent unchanged.
     pub fn import_json(&mut self, json: &str) -> Result<(), String> {
         let (net, net_b): (Network, Option<Network>) =
             serde_json::from_str(json).map_err(|e| e.to_string())?;
-        if net.input_dim() != self.net.input_dim() || net.output_dim() != self.net.output_dim() {
-            return Err("network shape mismatch".into());
+        for n in std::iter::once(&net).chain(&net_b) {
+            n.validate()?;
+            if n.input_dim() != self.net.input_dim() || n.output_dim() != self.net.output_dim() {
+                return Err("network shape mismatch".into());
+            }
         }
         self.net = net;
         self.net_b = net_b;
@@ -126,12 +158,7 @@ impl QAgent {
 
     /// Greedy action (argmax Q).
     pub fn best_action(&self, state: &[f64]) -> usize {
-        let q = self.q_values(state);
-        q.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        argmax(&self.q_values(state))
     }
 
     /// ε-greedy action selection.
@@ -149,25 +176,21 @@ impl QAgent {
     /// the order of 10⁵ times), so it only touches atomic metrics —
     /// never per-step trace events.
     pub fn observe(&mut self, t: Transition) {
-        trace::counter("tunio.rl.observations").inc(1);
-        trace::histogram("tunio.rl.reward").record(t.reward);
+        let (observations, reward) = observation_metrics();
+        observations.inc(1);
+        reward.record(t.reward);
         self.replay.push(t);
         self.learn_batch();
     }
 
     /// One TD(0) learning sweep over a sampled minibatch.
     fn learn_batch(&mut self) {
-        if self.replay.is_empty() {
-            return;
-        }
-        let batch: Vec<Transition> = {
-            let sampled = self.replay.sample(self.cfg.batch, &mut self.rng);
-            sampled.into_iter().cloned().collect()
-        };
-        for t in batch {
+        self.replay
+            .sample_indices(self.cfg.batch, &mut self.rng, &mut self.batch);
+        for &i in &self.batch {
+            let t = self.replay.get(i);
             match &mut self.net_b {
                 None => {
-                    let mut target_q = self.net.forward(&t.state);
                     let future = if t.done || t.next_state.is_empty() {
                         0.0
                     } else {
@@ -176,8 +199,8 @@ impl QAgent {
                             .into_iter()
                             .fold(f64::NEG_INFINITY, f64::max)
                     };
-                    target_q[t.action] = t.reward + self.cfg.gamma * future;
-                    self.net.train_step(&t.state, &target_q);
+                    self.net
+                        .train_q_target(&t.state, t.action, t.reward + self.cfg.gamma * future);
                 }
                 Some(net_b) => {
                     // Double Q: randomly pick which network to update; the
@@ -188,21 +211,12 @@ impl QAgent {
                     } else {
                         (net_b, &self.net)
                     };
-                    let mut target_q = upd.forward(&t.state);
                     let future = if t.done || t.next_state.is_empty() {
                         0.0
                     } else {
-                        let q_upd = upd.forward(&t.next_state);
-                        let argmax = q_upd
-                            .iter()
-                            .enumerate()
-                            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                            .map(|(i, _)| i)
-                            .unwrap_or(0);
-                        eval.forward(&t.next_state)[argmax]
+                        eval.forward(&t.next_state)[argmax(&upd.forward(&t.next_state))]
                     };
-                    target_q[t.action] = t.reward + self.cfg.gamma * future;
-                    upd.train_step(&t.state, &target_q);
+                    upd.train_q_target(&t.state, t.action, t.reward + self.cfg.gamma * future);
                 }
             }
         }
@@ -470,6 +484,56 @@ mod double_q_tests {
         assert_ne!(b.q_values(&[0.1, 0.2, 0.3]), before);
         b.import_json(&json).unwrap();
         assert_eq!(b.q_values(&[0.1, 0.2, 0.3]), before);
+    }
+
+    /// `json` with the first number after `"key":[` replaced by `literal`.
+    fn poison(json: &str, key: &str, literal: &str) -> String {
+        let key = format!("\"{key}\":[");
+        let start = json.find(&key).expect("key present") + key.len();
+        let end = start + json[start..].find([',', ']']).unwrap();
+        format!("{}{literal}{}", &json[..start], &json[end..])
+    }
+
+    #[test]
+    fn import_rejects_non_finite_weights_instead_of_panicking_later() {
+        // `1e999` parses as +inf; accepted, it made every Q-value NaN and
+        // `best_action` panicked on the NaN comparison.
+        let trained = QAgent::new(3, 2, QConfig::default(), 4);
+        let json = trained.export_json();
+        for (key, literal) in [
+            ("w", "1e999"),
+            ("b", "-1e999"),
+            ("m_w", "1e999"),
+            ("v_b", "-1.0"),
+        ] {
+            let mut agent = QAgent::new(3, 2, QConfig::default(), 5);
+            let before = agent.q_values(&[0.1, 0.2, 0.3]);
+            let err = agent.import_json(&poison(&json, key, literal)).unwrap_err();
+            assert!(err.contains("layer 0"), "{key}={literal}: {err}");
+            assert_eq!(agent.q_values(&[0.1, 0.2, 0.3]), before, "agent changed");
+        }
+        // The second estimator of a Double-Q agent is checked as well.
+        let cfg = QConfig {
+            double_q: true,
+            ..QConfig::default()
+        };
+        let json = QAgent::new(3, 2, cfg, 6).export_json();
+        let second = json.rfind("\"w\":[").unwrap();
+        let poisoned = format!(
+            "{}{}",
+            &json[..second],
+            poison(&json[second..], "w", "1e999")
+        );
+        assert!(QAgent::new(3, 2, cfg, 7).import_json(&poisoned).is_err());
+    }
+
+    #[test]
+    fn best_action_survives_nan_q_values() {
+        assert_eq!(argmax(&[f64::NAN, 1.0]), 1);
+        assert_eq!(argmax(&[1.0, f64::NAN, 0.5]), 2);
+        assert_eq!(argmax(&[]), 0);
+        // Ties resolve to the last maximum, as before.
+        assert_eq!(argmax(&[2.0, 2.0, 1.0]), 1);
     }
 
     #[test]

@@ -58,12 +58,25 @@ impl ReplayBuffer {
     /// Sample `n` transitions uniformly with replacement (empty when the
     /// buffer is empty).
     pub fn sample<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<&Transition> {
-        if self.items.is_empty() {
-            return Vec::new();
+        let mut indices = Vec::with_capacity(n);
+        self.sample_indices(n, rng, &mut indices);
+        indices.into_iter().map(|i| &self.items[i]).collect()
+    }
+
+    /// [`sample`](Self::sample) as indices for [`get`](Self::get), written
+    /// into `out` (cleared first) so a hot loop can reuse one buffer.
+    /// Consumes the same RNG draws as `sample`.
+    pub fn sample_indices<R: Rng>(&self, n: usize, rng: &mut R, out: &mut Vec<usize>) {
+        out.clear();
+        if !self.items.is_empty() {
+            out.extend((0..n).map(|_| rng.gen_range(0..self.items.len())));
         }
-        (0..n)
-            .map(|_| &self.items[rng.gen_range(0..self.items.len())])
-            .collect()
+    }
+
+    /// The transition at `index` (as returned by
+    /// [`sample_indices`](Self::sample_indices)).
+    pub fn get(&self, index: usize) -> &Transition {
+        &self.items[index]
     }
 }
 

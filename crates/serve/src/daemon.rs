@@ -21,7 +21,7 @@
 //! proves a fully-warm run) and are never visible to tenant B.
 
 use crate::http::{read_request, write_response, Request};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -441,8 +441,11 @@ impl CampaignRecord {
     }
 }
 
-/// Per-tenant warm cache: tenant → campaign fingerprint → key → entry.
-type WarmCache = HashMap<String, HashMap<String, HashMap<Vec<usize>, CacheEntry>>>;
+/// Per-tenant warm cache index: tenant → campaign fingerprint → the
+/// finished campaigns' WAL files that contributed new keys, in harvest
+/// order. The entries stay on disk and are read at admission (see
+/// [`read_warm`]), so memory does not grow with finished campaigns.
+type WarmIndex = HashMap<String, HashMap<String, Vec<PathBuf>>>;
 
 struct Shared {
     config: ServeConfig,
@@ -451,7 +454,7 @@ struct Shared {
     queue_cv: Condvar,
     draining: AtomicBool,
     seq: AtomicU64,
-    warm: Mutex<WarmCache>,
+    warm: Mutex<WarmIndex>,
 }
 
 impl Shared {
@@ -678,11 +681,12 @@ fn run_admitted(shared: &Arc<Shared>, id: &str, request: &CampaignRequest, wal: 
     // WAL win (preloaded first inside the campaign), so a resume is
     // bitwise-faithful even when the warm cache has newer data.
     let preload: Vec<CacheEntry> = {
-        let warm = lock(&shared.warm);
-        warm.get(&tenant)
+        let wals = lock(&shared.warm)
+            .get(&tenant)
             .and_then(|per_fp| per_fp.get(&request.fingerprint()))
-            .map(|entries| entries.values().cloned().collect())
-            .unwrap_or_default()
+            .cloned()
+            .unwrap_or_default();
+        read_warm(&wals).into_values().collect()
     };
     let warm_count = preload.len();
     let opts = CampaignOptions {
@@ -769,31 +773,51 @@ fn finish_failed(shared: &Arc<Shared>, id: &str, tenant: &str, why: &str) {
     shared.log(&format!("campaign {id} failed: {why}"));
 }
 
-/// Fold a finished campaign's WAL cache entries into its tenant's warm
-/// cache so the tenant's next identical campaign replays them instead of
-/// touching the simulator. First write wins on key collisions — entries
-/// for one fingerprint are deterministic, so collisions are identical.
+/// The warm entries of one namespace: every cache entry of its indexed
+/// WALs, read in index order with first write winning on a key.
+/// Entries for one fingerprint are deterministic, so colliding entries
+/// are identical anyway. An unreadable WAL contributes nothing.
+fn read_warm(wals: &[PathBuf]) -> HashMap<Vec<usize>, CacheEntry> {
+    let mut entries: HashMap<Vec<usize>, CacheEntry> = HashMap::new();
+    for wal in wals {
+        let Ok((_, generations)) = load(wal) else {
+            continue;
+        };
+        for entry in generations.into_iter().flat_map(|g| g.entries) {
+            if !entries.contains_key(&entry.key) {
+                entries.insert(entry.key.clone(), entry);
+            }
+        }
+    }
+    entries
+}
+
+/// Offer a finished campaign's WAL to its tenant's warm cache: index it
+/// if it holds keys the namespace lacks, so the tenant's next identical
+/// campaign replays them instead of touching the simulator.
 fn harvest_wal(shared: &Arc<Shared>, tenant: &str, fingerprint: &str, wal: &Path) {
     let Ok((_, generations)) = load(wal) else {
         return;
     };
+    // Reading the indexed WALs under the lock keeps two harvests of one
+    // namespace from both claiming the same new keys.
     let mut warm = lock(&shared.warm);
-    let entries = warm
+    let wals = warm
         .entry(tenant.to_string())
         .or_default()
         .entry(fingerprint.to_string())
         .or_default();
-    let mut added = 0u64;
-    for generation in generations {
-        for entry in generation.entries {
-            if !entries.contains_key(&entry.key) {
-                entries.insert(entry.key.clone(), entry);
-                added += 1;
-            }
-        }
-    }
-    if added > 0 {
-        trace::labeled_counter("tunio.serve.warm_entries", &[("tenant", tenant)]).inc(added);
+    let known = read_warm(wals);
+    let fresh: HashSet<&Vec<usize>> = generations
+        .iter()
+        .flat_map(|g| &g.entries)
+        .map(|e| &e.key)
+        .filter(|key| !known.contains_key(*key))
+        .collect();
+    if !fresh.is_empty() {
+        wals.push(wal.to_path_buf());
+        trace::labeled_counter("tunio.serve.warm_entries", &[("tenant", tenant)])
+            .inc(fresh.len() as u64);
     }
 }
 

@@ -80,6 +80,39 @@ fn state_of(v: &serde_json::Value) -> &str {
     v.get("state").and_then(|s| s.as_str()).unwrap()
 }
 
+/// Simulator wall time a settled campaign spent (0 when fully warm).
+fn sim_wall_s(v: &serde_json::Value) -> f64 {
+    v.get("counters")
+        .and_then(|c| c.get("sim_wall_s"))
+        .and_then(|x| x.as_f64())
+        .unwrap()
+}
+
+/// Submit `tenant`'s campaign `name` with the shared spec and assert it
+/// finishes without touching the simulator, with the outcome `expected`.
+fn assert_fully_warm_repeat(
+    addr: SocketAddr,
+    dir: &Path,
+    tenant: &str,
+    name: &str,
+    expected: &[u8],
+) {
+    let (status, body) = submit(
+        addr,
+        &format!("{{\"tenant\":\"{tenant}\",\"name\":\"{name}\",{SPEC}}}"),
+    );
+    assert_eq!(status, 202, "{body}");
+    let v = await_settled(addr, &format!("{tenant}--{name}"));
+    assert_eq!(state_of(&v), "done", "{v:?}");
+    assert_eq!(
+        sim_wall_s(&v),
+        0.0,
+        "repeat {name} touched the simulator: {v:?}"
+    );
+    let outcome = std::fs::read(dir.join(format!("{tenant}--{name}.outcome.json"))).unwrap();
+    assert_eq!(outcome, expected, "repeat {name} forked the outcome");
+}
+
 const SPEC: &str = "\"app\":\"hacc\",\"variant\":\"kernel\",\"iterations\":6,\
                     \"population\":4,\"seed\":42";
 
@@ -274,8 +307,10 @@ fn restart_resumes_interrupted_campaigns_bitwise_identically() {
         );
         assert_eq!(status, 202);
         assert_eq!(state_of(&await_settled(addr, "w--job")), "done");
-        daemon.drain_and_join();
         let outcome = std::fs::read(dir.join("w--job.outcome.json")).unwrap();
+        // Before any restart, a repeat is served from the warm cache.
+        assert_fully_warm_repeat(addr, &dir, "w", "repeat-before", &outcome);
+        daemon.drain_and_join();
         let wal = std::fs::read_to_string(dir.join("w--job.jsonl")).unwrap();
         (outcome, wal.lines().map(String::from).collect::<Vec<_>>())
     };
@@ -303,6 +338,14 @@ fn restart_resumes_interrupted_campaigns_bitwise_identically() {
     let (_, events) = http(addr, "GET", "/campaigns/w--job/events", None);
     assert!(events.contains("\"event\":\"resumed\""), "{events}");
 
+    // After the restart, boot recovery rebuilt the warm cache from the
+    // finished WALs, so a repeat is still fully warm.
+    assert_fully_warm_repeat(addr, &dir, "w", "repeat-after", &reference);
+    daemon.drain_and_join();
+
+    // And after a clean restart whose only warm source is recovery.
+    let mut daemon = Daemon::start(config(&dir, 1)).expect("daemon reboots again");
+    assert_fully_warm_repeat(daemon.addr(), &dir, "w", "repeat-reboot", &reference);
     daemon.drain_and_join();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,7 +14,11 @@
 //! * [`JsonlSink`] — one JSON object per line, replayable into a
 //!   human-readable campaign summary by the `tunio-report` binary
 //!   (see [`report`]),
-//! * [`MemorySink`] — buffers records in memory for tests.
+//! * [`MemorySink`] — buffers records in memory.
+//!
+//! Tests use [`capture`] instead of a sink: it returns only the records
+//! of the traces its closure opens, so a campaign running concurrently
+//! in the same process cannot leak into the assertion.
 //!
 //! Metrics are always live (they are plain atomics, as cheap as the
 //! counters the evaluation engine already kept); [`flush_metrics`] emits
@@ -70,10 +74,11 @@ pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot};
 pub use sink::{JsonlSink, MemorySink, Sink};
 pub use timeline::Timeline;
 
-use parking_lot::RwLock;
-use std::cell::Cell;
+use parking_lot::{Mutex, RwLock};
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -190,7 +195,13 @@ pub fn alloc_span_id() -> u64 {
 thread_local! {
     /// The calling thread's innermost open span.
     static CURRENT: Cell<Option<SpanContext>> = const { Cell::new(None) };
+    /// The [`capture`] running on this thread, which claims every trace
+    /// root the thread opens.
+    static CAPTURING: RefCell<Option<CaptureBuf>> = const { RefCell::new(None) };
 }
+
+/// Records collected by one [`capture`] call.
+type CaptureBuf = Arc<Mutex<Vec<Record>>>;
 
 /// The current thread's innermost open span context, if any. Capture
 /// this where work is *proposed* and hand it to the thread that runs it.
@@ -226,9 +237,14 @@ impl Drop for ContextGuard {
 }
 
 struct Tracer {
+    /// A sink is installed or a [`capture`] is running.
     enabled: AtomicBool,
     epoch: Instant,
     sink: RwLock<Option<Arc<dyn Sink>>>,
+    /// Running [`capture`] calls.
+    captures: AtomicUsize,
+    /// Trace id → the capture that opened its root.
+    captured: Mutex<HashMap<u64, CaptureBuf>>,
     metrics: metrics::Registry,
 }
 
@@ -238,12 +254,24 @@ fn tracer() -> &'static Tracer {
         enabled: AtomicBool::new(false),
         epoch: Instant::now(),
         sink: RwLock::new(None),
+        captures: AtomicUsize::new(0),
+        captured: Mutex::new(HashMap::new()),
         metrics: metrics::Registry::new(),
     })
 }
 
-/// Whether a sink is installed. Callers building expensive field sets
-/// should check this first; the emission functions also check it.
+impl Tracer {
+    /// Recompute `enabled`; callers hold the sink's write lock, which
+    /// serializes every change to the sink and to the capture count.
+    fn refresh_enabled(&self, sink: &Option<Arc<dyn Sink>>) {
+        let on = sink.is_some() || self.captures.load(Ordering::SeqCst) > 0;
+        self.enabled.store(on, Ordering::Relaxed);
+    }
+}
+
+/// Whether records are being collected (a sink is installed or a
+/// [`capture`] is running). Callers building expensive field sets should
+/// check this first; the emission functions also check it.
 #[inline]
 pub fn enabled() -> bool {
     tracer().enabled.load(Ordering::Relaxed)
@@ -252,18 +280,74 @@ pub fn enabled() -> bool {
 /// Install a sink; subsequent events and spans flow into it.
 pub fn set_sink(sink: Arc<dyn Sink>) {
     let t = tracer();
-    *t.sink.write() = Some(sink);
-    t.enabled.store(true, Ordering::Relaxed);
+    let mut slot = t.sink.write();
+    *slot = Some(sink);
+    t.refresh_enabled(&slot);
 }
 
-/// Remove the active sink (flushing it) and disable emission.
+/// Remove the active sink (flushing it) and disable emission, unless a
+/// [`capture`] is still running.
 pub fn clear_sink() {
     let t = tracer();
-    let old = t.sink.write().take();
-    t.enabled.store(false, Ordering::Relaxed);
+    let old = {
+        let mut slot = t.sink.write();
+        let old = slot.take();
+        t.refresh_enabled(&slot);
+        old
+    };
     if let Some(s) = old {
         s.flush();
     }
+}
+
+/// Run `f` with tracing enabled and return its result together with the
+/// records of every trace whose root span `f` opens on the calling
+/// thread: those roots and all spans and events beneath them, from any
+/// thread that joined the trace through [`with_context`].
+///
+/// Records of other traces are left out, so a campaign running
+/// concurrently in the same process (another test, say) cannot leak into
+/// the result the way it leaks into a process-global [`MemorySink`].
+/// Metric snapshots carry no trace id and are never captured. An
+/// installed sink still receives everything. `f` starts with no current
+/// span, so its first span is a root.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<Record>) {
+    /// Undoes the capture's registration even if `f` panics.
+    struct Registration {
+        buf: CaptureBuf,
+        prev: Option<CaptureBuf>,
+    }
+    impl Drop for Registration {
+        fn drop(&mut self) {
+            let prev = self.prev.take();
+            CAPTURING.with(|c| *c.borrow_mut() = prev);
+            let t = tracer();
+            t.captured.lock().retain(|_, b| !Arc::ptr_eq(b, &self.buf));
+            let slot = t.sink.write();
+            t.captures.fetch_sub(1, Ordering::SeqCst);
+            t.refresh_enabled(&slot);
+        }
+    }
+
+    let t = tracer();
+    {
+        let slot = t.sink.write();
+        t.captures.fetch_add(1, Ordering::SeqCst);
+        t.refresh_enabled(&slot);
+    }
+    let buf = CaptureBuf::default();
+    let prev = CAPTURING.with(|c| c.replace(Some(buf.clone())));
+    let registration = Registration {
+        buf: buf.clone(),
+        prev,
+    };
+    let result = {
+        let _root = with_context(None);
+        f()
+    };
+    drop(registration);
+    let records = std::mem::take(&mut *buf.lock());
+    (result, records)
 }
 
 /// Install a fresh [`MemorySink`] and return a handle for reading it.
@@ -296,12 +380,23 @@ fn emit(record: Record) {
     if let (Some(tid), Some(sid), Some(dur)) = (record.trace_id, record.span_id, record.dur_us) {
         timeline::ingest(tid, sid, record.parent_id, &record.name, record.t_us, dur);
     }
-    if let Some(s) = tracer().sink.read().as_ref() {
+    let t = tracer();
+    if let Some(s) = t.sink.read().as_ref() {
         s.emit(&record);
     }
-    if let Some(tid) = record.trace_id {
-        timeline::add_overhead_ns(tid, t0.elapsed().as_nanos() as u64);
+    let Some(tid) = record.trace_id else {
+        return;
+    };
+    // Relaxed suffices: a thread holds a captured trace id only after
+    // receiving it from the capturing thread, which orders this load
+    // after the capture's SeqCst increment.
+    if t.captures.load(Ordering::Relaxed) > 0 {
+        let buf = t.captured.lock().get(&tid).cloned();
+        if let Some(buf) = buf {
+            buf.lock().push(record);
+        }
     }
+    timeline::add_overhead_ns(tid, t0.elapsed().as_nanos() as u64);
 }
 
 /// Microseconds since the tracer's epoch (first use in the process) —
@@ -379,6 +474,11 @@ fn span_with_parent(
         trace_id: trace_id.unwrap_or(span_id),
         span_id,
     };
+    if parent.is_none() {
+        if let Some(buf) = CAPTURING.with(|c| c.borrow().clone()) {
+            tracer().captured.lock().insert(ctx.trace_id, buf);
+        }
+    }
     let prev = CURRENT.with(|c| c.replace(Some(ctx)));
     SpanGuard {
         inner: Some(SpanInner {
@@ -585,6 +685,61 @@ mod tests {
         let sink = install_memory_sink();
         assert!(sink.take().is_empty());
         clear_sink();
+    }
+
+    #[test]
+    fn capture_returns_only_the_traces_its_closure_opens() {
+        let _l = sink_test_lock();
+        clear_sink();
+        // Two captures overlap on two threads; each must see its own
+        // trace only, including work a helper thread did inside it.
+        let barrier = std::sync::Barrier::new(2);
+        let run = |name: &'static str| {
+            capture(|| {
+                let root = span(name, vec![]);
+                barrier.wait();
+                event("inside", vec![]);
+                let ctx = root.context();
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        let _joined = with_context(ctx);
+                        let _child = span("helper", vec![]);
+                    });
+                });
+                barrier.wait();
+                ctx.unwrap().trace_id
+            })
+        };
+        let ((ta, a), (tb, b)) = std::thread::scope(|s| {
+            let a = s.spawn(|| run("a"));
+            let b = s.spawn(|| run("b"));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_ne!(ta, tb);
+        for (trace, records, name) in [(ta, &a, "a"), (tb, &b, "b")] {
+            let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(names, ["inside", "helper", name]);
+            assert!(records.iter().all(|r| r.trace_id == Some(trace)));
+        }
+        // Outside the capture, tracing is off again and nothing leaks in.
+        assert!(!enabled());
+        let ((), none) = capture(|| event("no_root", vec![]));
+        assert!(none.is_empty(), "events outside a root are not captured");
+        assert!(!enabled());
+    }
+
+    #[test]
+    fn capture_keeps_feeding_an_installed_sink() {
+        let _l = sink_test_lock();
+        let sink = install_memory_sink();
+        let ((), captured) = capture(|| {
+            let _s = span("work", vec![]);
+        });
+        assert!(enabled(), "the sink is still installed");
+        clear_sink();
+        let sunk = sink.take();
+        assert_eq!(captured.len(), 1);
+        assert_eq!(sunk, captured);
     }
 
     #[test]

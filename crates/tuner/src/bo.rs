@@ -24,11 +24,15 @@
 //! the committed observation sequence. The surrogate refits at fixed
 //! observation counts, every RNG draw comes from the snapshotted
 //! xoshiro stream, and the full state (networks included) serializes
-//! through [`SearchStrategy::snapshot`].
+//! through [`SearchStrategy::snapshot`]. A refit draws every ensemble
+//! member's initialisation first, then fits the members concurrently
+//! (rayon; `RAYON_NUM_THREADS=1` runs them inline), so the worker count
+//! never changes a bit.
 
 use crate::strategy::{sanitize, SearchStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tunio_nn::{Activation, Network, Optimizer};
 use tunio_params::{Configuration, ParamId, ParameterSpace};
@@ -164,15 +168,24 @@ impl BoStrategy {
         let xs: Vec<Vec<f64>> = self.xs.iter().map(|g| self.features(g)).collect();
         let ys: Vec<Vec<f64>> = self.ys.iter().map(|y| vec![(y - mean) / std]).collect();
         let dim = ParamId::ALL.len();
-        self.nets = (0..self.cfg.ensemble)
+        // Initialisations draw from the snapshotted stream in member
+        // order; the fits touch no RNG and are independent, so they run
+        // concurrently without changing a bit.
+        let fresh: Vec<Network> = (0..self.cfg.ensemble)
             .map(|_| {
-                let mut net = Network::new(
+                Network::new(
                     &[dim, 16, 8, 1],
                     &[Activation::Tanh, Activation::Tanh, Activation::Linear],
                     Optimizer::Adam { lr: 0.01 },
                     &mut self.rng,
-                );
-                net.fit(&xs, &ys, self.cfg.epochs);
+                )
+            })
+            .collect();
+        let epochs = self.cfg.epochs;
+        self.nets = fresh
+            .into_par_iter()
+            .map(|mut net| {
+                net.fit(&xs, &ys, epochs);
                 net
             })
             .collect();
@@ -350,6 +363,9 @@ impl SearchStrategy for BoStrategy {
         }
         if state.xs.len() != state.ys.len() {
             return Err("xs/ys length mismatch".into());
+        }
+        for net in &state.nets {
+            net.validate()?;
         }
         self.rng = StdRng::from_state([state.rng[0], state.rng[1], state.rng[2], state.rng[3]]);
         self.subset = state
