@@ -403,6 +403,9 @@ fn main() -> ExitCode {
         noise_profile: args.noise_profile,
         noise_seed: args.noise_seed,
         racing: args.racing.then(tunio_tuner::RacingConfig::default),
+        // Every CLI run pretrains: the snapshot store is for hosts that
+        // run many campaigns (`tunio-serve`).
+        agent_store: None,
     };
     if args.racing && args.strategy.is_none() {
         eprintln!("error: --racing needs --strategy (the classic GA loop fixed-repeat averages)");

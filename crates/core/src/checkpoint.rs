@@ -40,6 +40,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write as IoWrite};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tunio_iosim::Profile;
 use tunio_tuner::{CacheEntry, IterationRecord};
 
@@ -606,6 +607,30 @@ pub fn scan_dir(
     Ok(scan)
 }
 
+/// Durable whole-file write: the contents go to a temp file in the same
+/// directory, which is then renamed over `path`, so a reader sees the old
+/// file or the new one, never a torn mix. Every call gets its own temp
+/// name (process id plus a process-wide sequence number), so concurrent
+/// writers of one path cannot truncate or steal each other's temp file;
+/// the last rename wins.
+pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
+    let tmp = path.with_file_name(format!(
+        ".{name}.{}.{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,5 +862,36 @@ mod tests {
         std::fs::write(&path, "hello world\n").unwrap();
         assert!(matches!(load(&path), Err(CheckpointError::BadHeader(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_atomic_writers_of_one_path_never_fail_or_tear() {
+        // With one fixed temp name, a writer could truncate another's temp
+        // file or rename it away first, so `rename` failed with ENOENT.
+        let dir = std::env::temp_dir().join(format!("tunio-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shared.json");
+        let contents: Vec<String> = (0..2)
+            .map(|w| format!("writer {w} {}", "x".repeat(64 * 1024)))
+            .collect();
+        std::thread::scope(|s| {
+            for text in &contents {
+                let path = &path;
+                s.spawn(move || {
+                    for _ in 0..200 {
+                        write_atomic(path, text).expect("atomic write");
+                    }
+                });
+            }
+        });
+        let last = std::fs::read_to_string(&path).unwrap();
+        assert!(contents.contains(&last), "torn file");
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.path() != path)
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,7 +11,7 @@
 use tunio_rl::logcurve::LogCurveEnv;
 use tunio_rl::qlearn::QConfig;
 use tunio_rl::replay::Transition;
-use tunio_rl::{DelayedReward, QAgent};
+use tunio_rl::{ActionLog, DelayedReward, QAgent, QAgentState};
 use tunio_trace as trace;
 use tunio_tuner::Stopper;
 
@@ -20,6 +20,12 @@ const STATE_DIM: usize = 4;
 /// Actions: 0 = continue, 1 = stop.
 const CONTINUE: usize = 0;
 const STOP: usize = 1;
+/// Per-iteration cost of the offline emulator, as a fraction of gain.
+const STEP_COST: f64 = 0.012;
+/// Episodes per pretraining measurement round.
+const ROUND: usize = 40;
+/// Most pretraining rounds before giving up on stagnation.
+const MAX_ROUNDS: usize = 60;
 
 /// The Early Stopping agent. Implements [`tunio_tuner::Stopper`].
 #[derive(Debug)]
@@ -54,24 +60,61 @@ impl EarlyStopAgent {
     /// Like [`Self::pretrained`] but with a custom reward delay (the
     /// paper fixes 5; the `abl05_reward_delay` experiment ablates it).
     pub fn pretrained_with_delay(max_iterations: u32, seed: u64, delay: usize) -> Self {
-        let step_cost = 0.012;
-        let mut env = LogCurveEnv::new(max_iterations, step_cost, seed ^ 0xc0ffee);
-        let mut agent = QAgent::new(
-            STATE_DIM,
-            2,
-            QConfig {
-                epsilon_decay: 0.985,
-                ..QConfig::default()
-            },
-            seed,
-        );
+        Self::pretrain(max_iterations, seed, delay).0
+    }
 
-        let round = 40; // episodes per measurement round
+    /// [`Self::pretrained`] plus the compact snapshot that
+    /// [`Self::from_snapshot`] turns back into this very agent.
+    pub fn pretrained_snapshot(max_iterations: u32, seed: u64) -> (Self, EarlyStopSnapshot) {
+        let (agent, log) = Self::pretrain(max_iterations, seed, 5);
+        let snapshot = EarlyStopSnapshot {
+            agent: agent.agent.export_state(),
+            episodes: agent.offline_episodes,
+            log,
+        };
+        (agent, snapshot)
+    }
+
+    /// Rebuild the agent [`Self::pretrained`] returns for `(max_iterations,
+    /// seed)` from its snapshot, without training: the replay buffer is
+    /// reconstructed by re-driving the same log-curve emulator through
+    /// the recorded actions. A snapshot that is inconsistent with the
+    /// emulator — wrong episode count, a log that does not end exactly
+    /// with the last episode, an invalid network — is an `Err`.
+    pub fn from_snapshot(
+        max_iterations: u32,
+        seed: u64,
+        snapshot: EarlyStopSnapshot,
+    ) -> Result<Self, String> {
+        let episodes = snapshot.episodes as usize;
+        if episodes == 0 || !episodes.is_multiple_of(ROUND) || episodes > ROUND * MAX_ROUNDS {
+            return Err(format!(
+                "{episodes} pretraining episodes is not a whole number of rounds"
+            ));
+        }
+        let mut agent = offline_agent(seed);
+        let mut replay = agent.empty_replay();
+        snapshot.log.rerun(
+            &mut offline_env(max_iterations, seed),
+            episodes,
+            max_iterations as usize + 1,
+            |t| replay.push(t),
+        )?;
+        agent.import_state(snapshot.agent, replay)?;
+        Ok(Self::assemble(agent, max_iterations, 5, snapshot.episodes))
+    }
+
+    /// Offline pretraining; also returns every action the agent took.
+    fn pretrain(max_iterations: u32, seed: u64, delay: usize) -> (Self, ActionLog) {
+        let mut env = offline_env(max_iterations, seed);
+        let mut agent = offline_agent(seed);
+        let mut log = ActionLog::default();
         let mut avg_rewards: Vec<f64> = Vec::new();
         let mut episodes = 0;
-        for r in 0..60 {
-            let returns = agent.train(&mut env, round, max_iterations as usize + 1);
-            episodes += round as u32;
+        for r in 0..MAX_ROUNDS {
+            let returns =
+                agent.train_logged(&mut env, ROUND, max_iterations as usize + 1, &mut log);
+            episodes += ROUND as u32;
             let avg = returns.iter().sum::<f64>() / returns.len() as f64;
             avg_rewards.push(avg);
             // Give the policy time to leave the trivial always-continue
@@ -80,13 +123,17 @@ impl EarlyStopAgent {
                 break;
             }
         }
+        (Self::assemble(agent, max_iterations, delay, episodes), log)
+    }
 
+    /// A freshly pretrained agent around its Q-network.
+    fn assemble(agent: QAgent, max_iterations: u32, delay: usize, episodes: u32) -> Self {
         EarlyStopAgent {
             agent,
             history: Vec::new(),
             max_iterations,
             min_iterations: 6,
-            step_cost,
+            step_cost: STEP_COST,
             expected_production_runs: None,
             reward_delay: delay,
             delayed: DelayedReward::new(delay),
@@ -244,6 +291,36 @@ fn emit_decision(iteration: u32, stop: bool, basis: &'static str) {
             ("basis", basis.into()),
         ],
     );
+}
+
+/// The log-curve emulator pretraining runs on.
+fn offline_env(max_iterations: u32, seed: u64) -> LogCurveEnv {
+    LogCurveEnv::new(max_iterations, STEP_COST, seed ^ 0xc0ffee)
+}
+
+/// The Q-agent before pretraining.
+fn offline_agent(seed: u64) -> QAgent {
+    QAgent::new(
+        STATE_DIM,
+        2,
+        QConfig {
+            epsilon_decay: 0.985,
+            ..QConfig::default()
+        },
+        seed,
+    )
+}
+
+/// Everything [`EarlyStopAgent::pretrained`] produces that cannot be
+/// re-derived cheaply: the Q-agent's learned state, the episode count
+/// and the action log. The replay buffer (4096 transitions, most of a
+/// pretrained agent's memory) is not stored; [`EarlyStopAgent::from_snapshot`]
+/// rebuilds it from the log.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct EarlyStopSnapshot {
+    agent: QAgentState,
+    episodes: u32,
+    log: ActionLog,
 }
 
 /// Serializable snapshot of an [`EarlyStopAgent`]'s learned policy.

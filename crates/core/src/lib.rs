@@ -42,6 +42,7 @@
 
 #![warn(missing_docs)]
 
+pub mod agents;
 pub mod api;
 pub mod checkpoint;
 pub mod early_stop;

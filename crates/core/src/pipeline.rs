@@ -6,12 +6,12 @@
 //! write-ahead-log checkpoint ([`crate::checkpoint`]) enabling
 //! kill-and-resume with bitwise-identical outcomes.
 
+use crate::agents::campaign_agents;
 use crate::checkpoint::{
     self, CheckpointError, CheckpointGeneration, CheckpointHeader, CheckpointWriter,
     CHECKPOINT_VERSION,
 };
-use crate::early_stop::EarlyStopAgent;
-use crate::smart_config::{warm_seed_configs, SmartConfigAgent};
+use crate::smart_config::warm_seed_configs;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
@@ -19,12 +19,11 @@ use std::path::{Path, PathBuf};
 use tunio_iosim::{FaultPlan, InterferenceModel, NoiseProfile, Simulator};
 use tunio_params::ParameterSpace;
 use tunio_trace as trace;
-use tunio_tuner::stoppers::NoStop;
 use tunio_tuner::{
     AllParams, BoConfig, BoStrategy, CacheEntry, CampaignObserver, EvalCounters, EvalEngine,
-    FailurePolicy, GaConfig, GaStrategy, GaTuner, GenerationSnapshot, HeuristicStop, LhsStrategy,
-    NoObserver, RacingConfig, RacingCounters, RandomStrategy, ResilienceCounters, SchedulerStats,
-    SearchStrategy, Stopper, SubsetProvider, TuningTrace,
+    FailurePolicy, GaConfig, GaStrategy, GaTuner, GenerationSnapshot, LhsStrategy, NoObserver,
+    RacingConfig, RacingCounters, RandomStrategy, ResilienceCounters, SchedulerStats,
+    SearchStrategy, SubsetProvider, TuningTrace,
 };
 use tunio_workloads::{AppSpec, Variant, Workload, WorkloadFeatures};
 
@@ -251,6 +250,12 @@ pub struct CampaignOptions {
     /// WAL, so kill/resume stays bitwise — but like the noise flags, a
     /// resumed campaign must pass the same racing policy.
     pub racing: Option<RacingConfig>,
+    /// Directory of pretrained-agent snapshots ([`crate::agents`]): the
+    /// campaign restores its agents from here instead of pretraining
+    /// them, or pretrains and saves them. The outcome is bitwise the same
+    /// either way. A deployment setting for hosts that run many
+    /// campaigns; `None` pretrains every time.
+    pub agent_store: Option<PathBuf>,
 }
 
 /// Attach the options' interference model (if any) to a fresh simulator
@@ -310,32 +315,8 @@ pub fn run_campaign_opts(
     // root of their own.
     let span = campaign_span(spec);
 
-    let needs_smart = matches!(
-        spec.kind,
-        PipelineKind::TunIo | PipelineKind::ImpactFirstOnly
-    );
-    let needs_rl_stop = matches!(spec.kind, PipelineKind::TunIo | PipelineKind::RlStopOnly);
-
-    let mut smart = if needs_smart {
-        Some(match &opts.warm_start {
-            Some(features) => SmartConfigAgent::from_features(features, &space, cluster, spec.seed),
-            None => SmartConfigAgent::pretrained(&space, cluster, spec.seed),
-        })
-    } else {
-        None
-    };
+    let (mut smart, mut stopper) = campaign_agents(spec, &space, cluster, opts);
     let mut all_params = AllParams;
-
-    let mut stopper: Box<dyn Stopper> = if needs_rl_stop {
-        let mut agent = EarlyStopAgent::pretrained(spec.max_iterations, spec.seed);
-        agent.begin_campaign();
-        Box::new(agent)
-    } else {
-        match spec.kind {
-            PipelineKind::HsTunerHeuristic => Box::new(HeuristicStop::paper_default()),
-            _ => Box::new(NoStop),
-        }
-    };
 
     let subsets: &mut dyn SubsetProvider = match &mut smart {
         Some(agent) => agent,
@@ -614,32 +595,8 @@ pub fn run_strategy_campaign_opts(
         backend.warm_start(&seeds);
     }
 
-    let needs_smart = matches!(
-        spec.kind,
-        PipelineKind::TunIo | PipelineKind::ImpactFirstOnly
-    );
-    let needs_rl_stop = matches!(spec.kind, PipelineKind::TunIo | PipelineKind::RlStopOnly);
-
-    let mut smart = if needs_smart {
-        Some(match &opts.warm_start {
-            Some(features) => SmartConfigAgent::from_features(features, &space, cluster, spec.seed),
-            None => SmartConfigAgent::pretrained(&space, cluster, spec.seed),
-        })
-    } else {
-        None
-    };
+    let (mut smart, mut stopper) = campaign_agents(spec, &space, cluster, opts);
     let mut all_params = AllParams;
-
-    let mut stopper: Box<dyn Stopper> = if needs_rl_stop {
-        let mut agent = EarlyStopAgent::pretrained(spec.max_iterations, spec.seed);
-        agent.begin_campaign();
-        Box::new(agent)
-    } else {
-        match spec.kind {
-            PipelineKind::HsTunerHeuristic => Box::new(HeuristicStop::paper_default()),
-            _ => Box::new(NoStop),
-        }
-    };
 
     let subsets: &mut dyn SubsetProvider = match &mut smart {
         Some(agent) => agent,
@@ -1023,8 +980,10 @@ fn finish_campaign(
 }
 
 /// Record the breakdown into `/metrics`: one labeled histogram sample
-/// per segment plus an exemplar series tying each segment to a concrete
-/// trace id a human can grep out of the JSONL trace.
+/// per segment plus, per segment, one exemplar series naming the trace
+/// id (grep-able out of the JSONL trace) of the campaign that spent the
+/// most time in it. One exemplar per segment keeps the registry, and
+/// every later flush of it, from growing with the campaigns run.
 fn record_segment_metrics(t: &trace::Timeline) {
     trace::expose::describe(
         "tunio.timeline.segment_s",
@@ -1032,18 +991,19 @@ fn record_segment_metrics(t: &trace::Timeline) {
     );
     trace::expose::describe(
         "tunio.timeline.exemplar",
-        "Exemplar campaign for each timeline segment; value is that trace's segment seconds",
+        "Slowest campaign seen in each timeline segment; value is that trace's segment seconds",
     );
     let tid = format!("{:016x}", t.trace_id);
     for (seg, us) in &t.segments {
         let secs = *us as f64 / 1e6;
         trace::labeled_histogram("tunio.timeline.segment_s", &[("segment", seg.name())])
             .record(secs);
-        trace::labeled_gauge(
+        trace::max_exemplar(
             "tunio.timeline.exemplar",
-            &[("segment", seg.name()), ("trace_id", &tid)],
-        )
-        .set(secs);
+            &[("segment", seg.name())],
+            ("trace_id", &tid),
+            secs,
+        );
     }
 }
 

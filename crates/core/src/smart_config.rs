@@ -21,7 +21,7 @@ use tunio_nn::Pca;
 use tunio_params::{Configuration, ParamId, ParameterSpace};
 use tunio_rl::qlearn::QConfig;
 use tunio_rl::replay::Transition;
-use tunio_rl::{ContextObserver, DelayedReward, QAgent};
+use tunio_rl::{ContextObserver, DelayedReward, QAgent, QAgentState};
 use tunio_tuner::{EvalEngine, SubsetProvider};
 use tunio_workloads::{flash, hacc, vpic, Variant, Workload, WorkloadFeatures};
 
@@ -32,7 +32,7 @@ const CONTEXT_DIM: usize = 3;
 const OBS_DIM: usize = 6;
 
 /// Result of the offline sweep + PCA analysis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ImpactAnalysis {
     /// Parameters ranked by descending impact.
     pub ranking: Vec<ParamId>,
@@ -320,8 +320,20 @@ impl SmartConfigAgent {
     /// Build an agent from a completed impact analysis and pre-train the
     /// subset picker on the analysis scores.
     pub fn new(analysis: ImpactAnalysis, cluster: ClusterSpec, seed: u64) -> Self {
+        let mut agent = SmartConfigAgent::untrained(analysis, cluster, seed);
+        for episode in warm_up_episodes(&agent.analysis, &agent.observer) {
+            for t in episode {
+                agent.picker.observe(t);
+            }
+            agent.picker.end_episode();
+        }
+        agent
+    }
+
+    /// The agent before the picker warm-up.
+    fn untrained(analysis: ImpactAnalysis, cluster: ClusterSpec, seed: u64) -> Self {
         let total = analysis.scores.len();
-        let mut picker = QAgent::new(
+        let picker = QAgent::new(
             OBS_DIM,
             total,
             QConfig {
@@ -333,32 +345,6 @@ impl SmartConfigAgent {
             seed,
         );
         let observer = ContextObserver::new(CONTEXT_DIM, OBS_DIM, seed ^ 0x5eed);
-
-        // Offline picker warm-up. The sweep tells us how many parameters
-        // actually move perf (`analysis.significant`); parameters interact
-        // (collective mode, aggregators and striping pay off jointly), so
-        // achievable gain is modelled as convex coverage of the
-        // significant set, and the reward divides by the normalized subset
-        // size exactly as the online reward does. This seeds Q toward
-        // subsets that cover the impactful parameters and nothing more.
-        let n_sig = analysis.significant.max(1) as f64;
-        for _ in 0..60 {
-            for k0 in 0..total {
-                let k = k0 + 1;
-                let coverage = ((k as f64).min(n_sig) / n_sig).powf(1.6);
-                let reward = coverage / (k as f64 / total as f64);
-                let state = observer.observe(&[0.5, k as f64 / total as f64, 0.0]);
-                picker.observe(Transition {
-                    state,
-                    action: k0,
-                    reward,
-                    next_state: vec![],
-                    done: true,
-                });
-            }
-            picker.end_episode();
-        }
-
         SmartConfigAgent {
             analysis,
             observer,
@@ -375,6 +361,55 @@ impl SmartConfigAgent {
     pub fn pretrained(space: &ParameterSpace, cluster: ClusterSpec, seed: u64) -> Self {
         let analysis = offline_impact_analysis(space, seed);
         SmartConfigAgent::new(analysis, cluster, seed)
+    }
+
+    /// [`Self::pretrained`] plus the compact snapshot that
+    /// [`Self::from_snapshot`] turns back into this very agent.
+    pub fn pretrained_snapshot(
+        space: &ParameterSpace,
+        cluster: ClusterSpec,
+        seed: u64,
+    ) -> (Self, SmartConfigSnapshot) {
+        let agent = SmartConfigAgent::pretrained(space, cluster, seed);
+        let snapshot = SmartConfigSnapshot {
+            analysis: agent.analysis.clone(),
+            observer: agent.observer.clone(),
+            picker: agent.picker.export_state(),
+        };
+        (agent, snapshot)
+    }
+
+    /// Rebuild the agent [`Self::pretrained`] returns for `(space,
+    /// cluster, seed)` from its snapshot, without the simulator sweep:
+    /// the picker's replay buffer is reconstructed by re-running the
+    /// warm-up transition loop without learning (the observer does not
+    /// learn during warm-up, so the transitions are the same). An
+    /// analysis that is not a ranking of this space, or an invalid
+    /// network, is an `Err`.
+    pub fn from_snapshot(
+        snapshot: SmartConfigSnapshot,
+        space: &ParameterSpace,
+        cluster: ClusterSpec,
+        seed: u64,
+    ) -> Result<Self, String> {
+        let a = &snapshot.analysis;
+        let mut ranking = a.ranking.clone();
+        ranking.sort();
+        if space.len() != ParamId::ALL.len() || ranking != ParamId::ALL {
+            return Err("impact ranking is not a permutation of the parameter space".into());
+        }
+        if a.scores.len() != space.len() || !a.scores.iter().all(|s| (0.0..=1.0).contains(s)) {
+            return Err("impact scores must be one value in [0, 1] per parameter".into());
+        }
+        if !(1..=space.len()).contains(&a.significant) {
+            return Err(format!("{} significant parameters", a.significant));
+        }
+        let mut agent = SmartConfigAgent::untrained(snapshot.analysis, cluster, seed);
+        agent.observer.import(snapshot.observer)?;
+        let mut replay = agent.picker.empty_replay();
+        replay.extend(warm_up_episodes(&agent.analysis, &agent.observer).flatten());
+        agent.picker.import_state(snapshot.picker, replay)?;
+        Ok(agent)
     }
 
     /// Warm-start construction: skip the simulator sweep and derive the
@@ -426,6 +461,47 @@ impl SmartConfigAgent {
         self.picker.end_episode();
         self.last_perf = best_perf;
     }
+}
+
+/// The picker's offline warm-up, one episode per item. The sweep tells
+/// us how many parameters actually move perf (`analysis.significant`);
+/// parameters interact (collective mode, aggregators and striping pay
+/// off jointly), so achievable gain is modelled as convex coverage of
+/// the significant set, and the reward divides by the normalized subset
+/// size exactly as the online reward does. This seeds Q toward subsets
+/// that cover the impactful parameters and nothing more.
+fn warm_up_episodes<'a>(
+    analysis: &'a ImpactAnalysis,
+    observer: &'a ContextObserver,
+) -> impl Iterator<Item = impl Iterator<Item = Transition> + 'a> + 'a {
+    let total = analysis.scores.len();
+    let n_sig = analysis.significant.max(1) as f64;
+    (0..60).map(move |_| {
+        (0..total).map(move |k0| {
+            let k = k0 + 1;
+            let coverage = ((k as f64).min(n_sig) / n_sig).powf(1.6);
+            let reward = coverage / (k as f64 / total as f64);
+            Transition {
+                state: observer.observe(&[0.5, k as f64 / total as f64, 0.0]),
+                action: k0,
+                reward,
+                next_state: vec![],
+                done: true,
+            }
+        })
+    })
+}
+
+/// Everything [`SmartConfigAgent::pretrained`] produces that cannot be
+/// re-derived cheaply: the impact analysis (the simulator sweep), the
+/// state observer and the subset picker's learned state. The picker's
+/// replay buffer is not stored; [`SmartConfigAgent::from_snapshot`]
+/// rebuilds it.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct SmartConfigSnapshot {
+    analysis: ImpactAnalysis,
+    observer: ContextObserver,
+    picker: QAgentState,
 }
 
 /// Serializable snapshot of a [`SmartConfigAgent`].

@@ -301,6 +301,20 @@ impl Network {
         self.layers.last().map(|l| l.outputs).unwrap_or(0)
     }
 
+    /// Whether `other` has this network's layer shapes, activations and
+    /// optimizer, so one can stand in for the other (e.g. weights
+    /// restored from a snapshot). Weights and Adam state are not
+    /// compared.
+    pub fn same_architecture(&self, other: &Network) -> bool {
+        self.optimizer == other.optimizer
+            && self.layers.len() == other.layers.len()
+            && self
+                .layers
+                .iter()
+                .zip(&other.layers)
+                .all(|(a, b)| (a.inputs, a.outputs, a.act) == (b.inputs, b.outputs, b.act))
+    }
+
     /// Check a network read from outside the process: consecutive layer
     /// shapes agree, every buffer has its layer's length, and every
     /// weight, bias, Adam moment and the learning rate is finite (second

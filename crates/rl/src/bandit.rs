@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use tunio_nn::{Activation, Network, Optimizer};
 
 /// Contextual state observer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ContextObserver {
     /// Embedding network: context → hidden → predicted perf.
     embed: Network,
@@ -53,6 +53,19 @@ impl ContextObserver {
     pub fn learn(&mut self, context: &[f64], norm_perf: f64) -> f64 {
         let target = vec![norm_perf.clamp(-1.0, 1.0); self.obs_dim];
         self.embed.train_step(context, &target)
+    }
+
+    /// Take over `other`'s weights and Adam state (e.g. an observer read
+    /// back from a snapshot). An observer of another architecture, or
+    /// with a non-finite weight or moment, is refused with `Err` and
+    /// leaves this one unchanged.
+    pub fn import(&mut self, other: ContextObserver) -> Result<(), String> {
+        other.embed.validate()?;
+        if other.obs_dim != self.obs_dim || !other.embed.same_architecture(&self.embed) {
+            return Err("observer architecture mismatch".into());
+        }
+        self.embed = other.embed;
+        Ok(())
     }
 
     /// Export the embedding weights as JSON.

@@ -12,6 +12,8 @@
 //!   observation (§III-C).
 //! * [`delayed::DelayedReward`] — the 5-iteration reward delay both agents
 //!   use "to avoid bias introduced by short-term gains".
+//! * [`rollout`] — the one episode loop, shared by training and by
+//!   rebuilding a restored agent's replay buffer from its [`ActionLog`].
 //! * [`logcurve`] — the synthetic log-curve tuning emulator used to train
 //!   the Early Stopping agent offline (§III-D), including the randomized
 //!   downward shifts that model briefly picking a wrong parameter.
@@ -24,10 +26,12 @@ pub mod env;
 pub mod logcurve;
 pub mod qlearn;
 pub mod replay;
+pub mod rollout;
 
 pub use bandit::ContextObserver;
 pub use delayed::DelayedReward;
 pub use env::Env;
 pub use logcurve::{LogCurve, LogCurveEnv};
-pub use qlearn::QAgent;
+pub use qlearn::{QAgent, QAgentState};
 pub use replay::ReplayBuffer;
+pub use rollout::ActionLog;

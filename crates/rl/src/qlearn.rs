@@ -2,8 +2,10 @@
 
 use crate::env::Env;
 use crate::replay::{ReplayBuffer, Transition};
+use crate::rollout::{run_episode, ActionLog, Rollout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::sync::OnceLock;
 use tunio_nn::{Activation, Network, Optimizer};
@@ -65,6 +67,22 @@ pub struct QAgent {
     /// Replay indices of the minibatch being learned (reused buffer).
     batch: Vec<usize>,
     rng: StdRng,
+}
+
+/// Everything a [`QAgent`] has learned except its replay buffer: both
+/// estimators with their Adam moments and step counters, the exploration
+/// rate and the RNG state, plus a digest of the replay buffer. Together
+/// with the transitions the agent observed (see [`QAgent::import_state`])
+/// it restores the agent exactly, so a restored agent continues bit for
+/// bit as the original would.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct QAgentState {
+    net: Network,
+    net_b: Option<Network>,
+    epsilon: f64,
+    rng: [u64; 4],
+    /// [`ReplayBuffer::digest`] of the exported agent's buffer.
+    replay: u64,
 }
 
 /// `observe`'s metric handles, looked up once per process: a registry
@@ -156,6 +174,59 @@ impl QAgent {
         Ok(())
     }
 
+    /// Snapshot the learned state (see [`QAgentState`]).
+    pub fn export_state(&self) -> QAgentState {
+        QAgentState {
+            net: self.net.clone(),
+            net_b: self.net_b.clone(),
+            epsilon: self.epsilon,
+            rng: self.rng.state(),
+            replay: self.replay.digest(),
+        }
+    }
+
+    /// An empty replay buffer of this agent's capacity, for
+    /// [`Self::import_state`].
+    pub fn empty_replay(&self) -> ReplayBuffer {
+        ReplayBuffer::new(self.cfg.replay_capacity)
+    }
+
+    /// Restore a [`Self::export_state`] snapshot. `replay` must hold the
+    /// transitions the agent observed, pushed in order into
+    /// [`Self::empty_replay`]; the agent is then exactly the one that was
+    /// exported. A state that does not fit this agent — a network of
+    /// another architecture, a non-finite weight or Adam moment, an
+    /// exploration rate outside `[0, 1]`, the degenerate all-zero RNG
+    /// state, a replay whose digest is not the exported one (other
+    /// contents, ring position or capacity) — is refused
+    /// with `Err` and leaves the agent unchanged.
+    pub fn import_state(&mut self, state: QAgentState, replay: ReplayBuffer) -> Result<(), String> {
+        if state.net_b.is_some() != self.net_b.is_some() {
+            return Err("double-Q estimator mismatch".into());
+        }
+        for n in std::iter::once(&state.net).chain(&state.net_b) {
+            n.validate()?;
+            if !n.same_architecture(&self.net) {
+                return Err("network architecture mismatch".into());
+            }
+        }
+        if !(0.0..=1.0).contains(&state.epsilon) {
+            return Err(format!("exploration rate {} outside [0, 1]", state.epsilon));
+        }
+        if state.rng == [0; 4] {
+            return Err("all-zero RNG state".into());
+        }
+        if replay.digest() != state.replay {
+            return Err("rebuilt replay buffer differs from the exported one".into());
+        }
+        self.net = state.net;
+        self.net_b = state.net_b;
+        self.epsilon = state.epsilon;
+        self.rng = StdRng::from_state(state.rng);
+        self.replay = replay;
+        Ok(())
+    }
+
     /// Greedy action (argmax Q).
     pub fn best_action(&self, state: &[f64]) -> usize {
         argmax(&self.q_values(state))
@@ -230,26 +301,25 @@ impl QAgent {
     /// Train on `env` for `episodes` episodes of at most `max_steps`;
     /// returns the per-episode total rewards.
     pub fn train(&mut self, env: &mut dyn Env, episodes: usize, max_steps: usize) -> Vec<f64> {
+        self.train_logged(env, episodes, max_steps, &mut ActionLog::default())
+    }
+
+    /// [`Self::train`], appending every action taken to `log` so the
+    /// transitions can later be reproduced with [`ActionLog::rerun`].
+    pub fn train_logged(
+        &mut self,
+        env: &mut dyn Env,
+        episodes: usize,
+        max_steps: usize,
+        log: &mut ActionLog,
+    ) -> Vec<f64> {
         let mut returns = Vec::with_capacity(episodes);
         for _ in 0..episodes {
-            let mut state = env.reset();
-            let mut total = 0.0;
-            for _ in 0..max_steps {
-                let action = self.act(&state);
-                let step = env.step(action);
-                total += step.reward;
-                self.observe(Transition {
-                    state: state.clone(),
-                    action,
-                    reward: step.reward,
-                    next_state: step.state.clone(),
-                    done: step.done,
-                });
-                state = step.state;
-                if step.done {
-                    break;
-                }
-            }
+            let mut learner = Learner {
+                agent: self,
+                log: &mut *log,
+            };
+            let total = run_episode(env, max_steps, &mut learner).expect("the learner always acts");
             self.end_episode();
             returns.push(total);
         }
@@ -287,6 +357,25 @@ impl QAgent {
             }
         }
         total
+    }
+}
+
+/// The training side of [`run_episode`]: ε-greedy actions, each
+/// transition learned from as it arrives.
+struct Learner<'a> {
+    agent: &'a mut QAgent,
+    log: &'a mut ActionLog,
+}
+
+impl Rollout for Learner<'_> {
+    fn act(&mut self, state: &[f64]) -> Result<usize, String> {
+        let action = self.agent.act(state);
+        self.log.push(action);
+        Ok(action)
+    }
+
+    fn record(&mut self, t: Transition) {
+        self.agent.observe(t);
     }
 }
 
@@ -534,6 +623,122 @@ mod double_q_tests {
         assert_eq!(argmax(&[]), 0);
         // Ties resolve to the last maximum, as before.
         assert_eq!(argmax(&[2.0, 2.0, 1.0]), 1);
+    }
+
+    /// Train on log curves with an action log; returns the agent and log.
+    fn trained(seed: u64, cfg: QConfig) -> (QAgent, ActionLog) {
+        let mut agent = QAgent::new(4, 2, cfg, seed);
+        let mut log = ActionLog::default();
+        agent.train_logged(&mut LogCurveEnv::new(12, 0.02, seed), 120, 13, &mut log);
+        (agent, log)
+    }
+
+    /// Serialized bits of everything the agent holds, replay included.
+    fn fingerprint(agent: &QAgent) -> (String, ReplayBuffer) {
+        (
+            serde_json::to_string(&agent.export_state()).unwrap(),
+            agent.replay.clone(),
+        )
+    }
+
+    #[test]
+    fn exported_state_and_rerun_log_restore_the_agent_exactly() {
+        for double_q in [false, true] {
+            let cfg = QConfig {
+                double_q,
+                replay_capacity: 300,
+                ..QConfig::default()
+            };
+            let (mut original, log) = trained(21, cfg);
+            // Through JSON, as a snapshot file would carry it.
+            let json = serde_json::to_string(&original.export_state()).unwrap();
+            let state: QAgentState = serde_json::from_str(&json).unwrap();
+            let mut restored = QAgent::new(4, 2, cfg, 999);
+            let mut replay = restored.empty_replay();
+            log.rerun(&mut LogCurveEnv::new(12, 0.02, 21), 120, 13, |t| {
+                replay.push(t)
+            })
+            .unwrap();
+            restored.import_state(state, replay).unwrap();
+            assert_eq!(fingerprint(&restored), fingerprint(&original));
+            // Both continue identically: exploration, replay sampling and
+            // learning all draw from the restored RNG and buffer.
+            let mut env_a = LogCurveEnv::new(12, 0.02, 5);
+            let mut env_b = env_a.clone();
+            assert_eq!(
+                original.train(&mut env_a, 20, 13),
+                restored.train(&mut env_b, 20, 13)
+            );
+            assert_eq!(fingerprint(&restored), fingerprint(&original));
+        }
+    }
+
+    #[test]
+    fn import_state_refuses_what_does_not_fit() {
+        let cfg = QConfig::default();
+        let (original, _) = trained(3, cfg);
+        let state = || original.export_state();
+        let fresh = || QAgent::new(4, 2, cfg, 8);
+        let check = |mut agent: QAgent, state: QAgentState, replay: ReplayBuffer, needle: &str| {
+            let before = fingerprint(&agent);
+            let err = agent.import_state(state, replay).unwrap_err();
+            assert!(err.contains(needle), "{needle}: {err}");
+            assert_eq!(fingerprint(&agent), before, "agent changed");
+        };
+        let replay = || fresh().empty_replay();
+        check(
+            fresh(),
+            QAgentState {
+                epsilon: f64::NAN,
+                ..state()
+            },
+            replay(),
+            "exploration",
+        );
+        check(
+            fresh(),
+            QAgentState {
+                epsilon: 1.5,
+                ..state()
+            },
+            replay(),
+            "exploration",
+        );
+        check(
+            fresh(),
+            QAgentState {
+                rng: [0; 4],
+                ..state()
+            },
+            replay(),
+            "RNG",
+        );
+        check(
+            fresh(),
+            state(),
+            ReplayBuffer::new(7),
+            "replay buffer differs",
+        );
+        let mut wrong = replay();
+        wrong.push(original.replay.get(0).clone());
+        check(fresh(), state(), wrong, "replay buffer differs");
+        let wider = QAgent::new(4, 2, QConfig { hidden: 25, ..cfg }, 1);
+        check(fresh(), wider.export_state(), replay(), "architecture");
+        let double = QConfig {
+            double_q: true,
+            ..cfg
+        };
+        check(
+            fresh(),
+            QAgent::new(4, 2, double, 1).export_state(),
+            replay(),
+            "double-Q",
+        );
+        let json = serde_json::to_string(&state()).unwrap();
+        let poisoned: QAgentState = serde_json::from_str(&poison(&json, "w", "1e999")).unwrap();
+        check(fresh(), poisoned, replay(), "non-finite");
+        let mut ok = fresh();
+        assert!(ok.import_state(state(), original.replay.clone()).is_ok());
     }
 
     #[test]

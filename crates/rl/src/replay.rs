@@ -18,7 +18,7 @@ pub struct Transition {
 }
 
 /// Fixed-capacity ring buffer of transitions with uniform sampling.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayBuffer {
     items: Vec<Transition>,
     capacity: usize,
@@ -43,6 +43,28 @@ impl ReplayBuffer {
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    /// A 64-bit fingerprint of the exact contents (every bit of every
+    /// transition, in slot order) and the ring position: two buffers
+    /// with equal digests sample and evict identically, barring a hash
+    /// collision.
+    pub fn digest(&self) -> u64 {
+        let mut h: u64 = 0;
+        let mut mix = |x: u64| h = (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+        mix(self.capacity as u64);
+        mix(self.next as u64);
+        mix(self.items.len() as u64);
+        for t in &self.items {
+            for v in [&t.state, &t.next_state] {
+                mix(v.len() as u64);
+                v.iter().for_each(|x| mix(x.to_bits()));
+            }
+            mix(t.action as u64);
+            mix(t.reward.to_bits());
+            mix(u64::from(t.done));
+        }
+        h
     }
 
     /// Store a transition, evicting the oldest when full.
@@ -77,6 +99,16 @@ impl ReplayBuffer {
     /// [`sample_indices`](Self::sample_indices)).
     pub fn get(&self, index: usize) -> &Transition {
         &self.items[index]
+    }
+}
+
+/// Pushing a sequence of transitions leaves the buffer exactly as
+/// pushing them one by one would, ring position included.
+impl Extend<Transition> for ReplayBuffer {
+    fn extend<I: IntoIterator<Item = Transition>>(&mut self, iter: I) {
+        for t in iter {
+            self.push(t);
+        }
     }
 }
 
@@ -115,6 +147,28 @@ mod tests {
         let rewards: Vec<f64> = b.items.iter().map(|x| x.reward).collect();
         assert!(rewards.contains(&3.0));
         assert!(!rewards.contains(&1.0));
+    }
+
+    #[test]
+    fn digest_tells_contents_and_ring_position_apart() {
+        let mut a = ReplayBuffer::new(2);
+        a.extend([t(1.0), t(2.0)]);
+        let mut b = a.clone();
+        assert_eq!(a.digest(), b.digest());
+        b.push(t(3.0));
+        assert_ne!(a.digest(), b.digest());
+        a.push(t(3.0));
+        assert_eq!(a, b);
+        assert_eq!(a.digest(), b.digest());
+        // Same transitions, different slot order.
+        let mut c = ReplayBuffer::new(2);
+        c.extend([t(3.0), t(2.0)]);
+        assert_ne!(c.digest(), a.digest());
+        let mut d = ReplayBuffer::new(2);
+        d.push(t(-0.0));
+        let mut e = ReplayBuffer::new(2);
+        e.push(t(0.0));
+        assert_ne!(d.digest(), e.digest(), "every bit counts");
     }
 
     #[test]

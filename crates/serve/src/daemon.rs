@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tunio::checkpoint::{load, scan_dir, CheckpointHeader};
+use tunio::checkpoint::{load, scan_dir, write_atomic, CheckpointHeader};
 use tunio::pipeline::{
     outcome_json, run_campaign_opts, run_strategy_campaign_opts, spec_from_header, CampaignOptions,
     CampaignSpec, PipelineKind, StrategyKind,
@@ -47,12 +47,19 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Subdirectory of the WAL directory holding pretrained-agent snapshots
+/// (`tunio::agents`): each distinct agent is pretrained once, by the
+/// first campaign that needs it, and restored by every later one —
+/// including after a restart. Boot recovery never looks inside it.
+pub const AGENTS_DIR: &str = "agents";
+
 /// Daemon configuration (CLI flags map 1:1).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; `127.0.0.1:0` lets the OS pick (tests).
     pub addr: String,
-    /// Directory for campaign WALs, outcome files, and request metadata.
+    /// Directory for campaign WALs, outcome files, request metadata and
+    /// the pretrained-agent snapshots under [`AGENTS_DIR`].
     pub wal_dir: PathBuf,
     /// Campaign worker threads (concurrent campaigns).
     pub workers: usize,
@@ -124,6 +131,29 @@ pub struct CampaignRequest {
     pub racing: bool,
 }
 
+/// Largest generation budget one submission may ask for. Early-stop
+/// pretraining runs episodes as long as the budget, so an unbounded value
+/// would stall a worker before the campaign even starts.
+pub const MAX_ITERATIONS: u64 = 1_000;
+
+/// Largest `iterations x population` (simulator evaluations) one
+/// submission may ask for.
+pub const MAX_EVALUATIONS: u64 = 50_000;
+
+/// An optional non-negative integer field, `default` when absent. A value
+/// that is not an integer or exceeds `limit` is refused rather than
+/// truncated to fit.
+fn bounded(v: &serde_json::Value, key: &str, default: u64, limit: u64) -> Result<u64, String> {
+    let Some(x) = v.get(key) else {
+        return Ok(default);
+    };
+    match x.as_u64() {
+        Some(n) if n <= limit => Ok(n),
+        Some(n) => Err(format!("`{key}` {n} exceeds the limit of {limit}")),
+        None => Err(format!("`{key}` must be an integer between 0 and {limit}")),
+    }
+}
+
 fn ident_ok(s: &str) -> bool {
     !s.is_empty()
         && s.len() <= 64
@@ -155,8 +185,8 @@ impl CampaignRequest {
             pipeline: str_field("pipeline").unwrap_or_else(|| "tunio".to_string()),
             strategy: str_field("strategy"),
             variant: str_field("variant").unwrap_or_else(|| "kernel".to_string()),
-            iterations: v.get("iterations").and_then(|x| x.as_u64()).unwrap_or(10) as u32,
-            population: v.get("population").and_then(|x| x.as_u64()).unwrap_or(6) as usize,
+            iterations: bounded(v, "iterations", 10, MAX_ITERATIONS)? as u32,
+            population: bounded(v, "population", 6, MAX_EVALUATIONS)? as usize,
             seed: v.get("seed").and_then(|x| x.as_u64()).unwrap_or(42),
             large_scale: matches!(v.get("large_scale"), Some(serde_json::Value::Bool(true))),
             threads: v
@@ -248,6 +278,13 @@ impl CampaignRequest {
         };
         if self.iterations == 0 || self.population == 0 {
             return Err("iterations and population must be >= 1".to_string());
+        }
+        let evaluations = u64::from(self.iterations).saturating_mul(self.population as u64);
+        if evaluations > MAX_EVALUATIONS {
+            return Err(format!(
+                "iterations x population = {evaluations} exceeds the limit of \
+                 {MAX_EVALUATIONS} evaluations per campaign"
+            ));
         }
         Ok((
             CampaignSpec {
@@ -477,13 +514,6 @@ impl Shared {
     }
 }
 
-/// Durable write: temp file in the same directory, then rename.
-fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
-}
-
 // ---------------------------------------------------------------------------
 // Admission
 // ---------------------------------------------------------------------------
@@ -706,6 +736,7 @@ fn run_admitted(shared: &Arc<Shared>, id: &str, request: &CampaignRequest, wal: 
             .and_then(NoiseProfile::parse),
         noise_seed: request.noise_seed,
         racing: request.racing.then(RacingConfig::default),
+        agent_store: Some(shared.config.wal_dir.join(AGENTS_DIR)),
     };
     // The panic boundary. An evaluator panic (or the inject_panic drill)
     // unwinds to here, fails this one campaign, and the worker moves on.
@@ -1303,6 +1334,38 @@ mod tests {
         let (spec, strategy) = req.to_spec().unwrap();
         assert_eq!(spec.kind, PipelineKind::TunIo);
         assert!(strategy.is_none());
+    }
+
+    #[test]
+    fn request_budgets_are_bounded_not_truncated() {
+        let req = |fields: &str| {
+            CampaignRequest::from_json(&value(&format!(
+                "{{\"tenant\":\"a\",\"app\":\"hacc\",{fields}}}"
+            )))
+        };
+        // `as u32` used to turn this into ~1.2e9 generations.
+        let err = req("\"iterations\":99999999999").unwrap_err();
+        assert!(err.contains("limit of 1000"), "{err}");
+        let err = req("\"iterations\":1001").unwrap_err();
+        assert!(
+            err.contains("`iterations` 1001 exceeds the limit of 1000"),
+            "{err}"
+        );
+        for bad in ["-1", "2.5", "\"ten\""] {
+            let err = req(&format!("\"iterations\":{bad}")).unwrap_err();
+            assert!(err.contains("between 0 and 1000"), "{bad}: {err}");
+        }
+        let err = req("\"population\":100000000").unwrap_err();
+        assert!(err.contains("limit of 50000"), "{err}");
+        let err = req("\"iterations\":1000,\"population\":51").unwrap_err();
+        assert!(
+            err.contains("iterations x population = 51000 exceeds the limit of 50000"),
+            "{err}"
+        );
+        // The largest admissible budgets still parse.
+        let ok = req("\"iterations\":1000,\"population\":50").unwrap();
+        assert_eq!((ok.iterations, ok.population), (1000, 50));
+        assert!(req("\"iterations\":1,\"population\":50000").is_ok());
     }
 
     #[test]

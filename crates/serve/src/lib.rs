@@ -28,4 +28,4 @@
 pub mod daemon;
 pub mod http;
 
-pub use daemon::{CampaignRecord, CampaignRequest, CampaignState, Daemon, ServeConfig};
+pub use daemon::{CampaignRecord, CampaignRequest, CampaignState, Daemon, ServeConfig, AGENTS_DIR};

@@ -9,7 +9,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use tunio_serve::{Daemon, ServeConfig};
+use tunio_serve::{Daemon, ServeConfig, AGENTS_DIR};
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tunio-serve-{name}"));
@@ -315,6 +315,24 @@ fn restart_resumes_interrupted_campaigns_bitwise_identically() {
         (outcome, wal.lines().map(String::from).collect::<Vec<_>>())
     };
 
+    // The first campaign pretrained both agents and left their
+    // snapshots; every later run of this spec restores them instead.
+    let agents = dir.join(AGENTS_DIR);
+    let snapshots = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("agents dir")
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    };
+    let warm_store = snapshots(&agents);
+    assert_eq!(warm_store.len(), 2, "{warm_store:?}");
+    // Boot recovery must leave the store alone, even a file in it that
+    // looks like a WAL.
+    std::fs::write(agents.join("decoy.jsonl"), "not a checkpoint\n").unwrap();
+
     // Simulate a kill -9 mid-campaign: keep the header plus the first
     // two generations of the WAL and delete the outcome file.
     assert!(wal_lines.len() >= 4, "campaign too short for the drill");
@@ -335,6 +353,18 @@ fn restart_resumes_interrupted_campaigns_bitwise_identically() {
     );
     let resumed = std::fs::read(dir.join("w--job.outcome.json")).unwrap();
     assert_eq!(reference, resumed, "resume forked the outcome");
+    // The resume restored its agents from the warm store.
+    assert!(
+        agents.join("decoy.jsonl").exists(),
+        "recovery touched agents/"
+    );
+    std::fs::remove_file(agents.join("decoy.jsonl")).unwrap();
+    assert_eq!(snapshots(&agents), warm_store, "snapshots rewritten");
+    let (_, metrics) = http(addr, "GET", "/metrics", None);
+    assert!(
+        metrics.contains("tunio_agents_snapshot_hits{agent=\"early_stop\"}"),
+        "{metrics}"
+    );
     let (_, events) = http(addr, "GET", "/campaigns/w--job/events", None);
     assert!(events.contains("\"event\":\"resumed\""), "{events}");
 
@@ -641,5 +671,36 @@ fn drain_refuses_new_work_but_finishes_queued_work() {
     // Both admitted campaigns ran to completion during the drain.
     assert!(dir.join("d--a.outcome.json").exists());
     assert!(dir.join("d--b.outcome.json").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hostile_bodies_get_400_and_the_daemon_keeps_serving() {
+    let dir = test_dir("hostile");
+    let mut daemon = Daemon::start(config(&dir, 1)).expect("daemon boots");
+    let addr = daemon.addr();
+    // 10,000 nested arrays (~10 KB, under the body cap) used to overflow
+    // the connection thread's stack and abort the whole process.
+    let (status, body) = submit(addr, &"[".repeat(10_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    let (status, body) = http(addr, "GET", "/healthz", None);
+    assert_eq!((status, body.as_str()), (200, "{\"status\":\"ok\"}"));
+
+    // Budgets that do not fit are refused, not truncated, and nothing is
+    // persisted for a restart to re-enqueue.
+    for (fields, limit) in [
+        ("\"iterations\":99999999999", "limit of 1000"),
+        ("\"iterations\":500,\"population\":1000", "limit of 50000"),
+    ] {
+        let (status, body) = submit(
+            addr,
+            &format!("{{\"tenant\":\"h\",\"name\":\"big\",\"app\":\"hacc\",{fields}}}"),
+        );
+        assert_eq!(status, 400, "{fields}: {body}");
+        assert!(body.contains(limit), "{fields}: {body}");
+    }
+    assert!(!dir.join("h--big.meta.json").exists());
+    daemon.drain_and_join();
     let _ = std::fs::remove_dir_all(&dir);
 }

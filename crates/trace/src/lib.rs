@@ -628,6 +628,21 @@ pub fn labeled_gauge(name: &'static str, labels: &[(&'static str, &str)]) -> Gau
     tracer().metrics.gauge(name, labels)
 }
 
+/// Keep one exemplar series per label set: the gauge
+/// `name{labels…, exemplar}` is set to `value` if `value` exceeds the
+/// gauge currently kept for `name{labels…}` (whatever its exemplar label),
+/// which it then replaces. The registry thus holds the largest value seen
+/// per label set, tagged with where it came from, and never grows with
+/// the number of exemplars offered.
+pub fn max_exemplar(
+    name: &'static str,
+    labels: &[(&'static str, &str)],
+    exemplar: (&'static str, &str),
+    value: f64,
+) {
+    tracer().metrics.max_exemplar(name, labels, exemplar, value);
+}
+
 /// Look up (or create) a histogram with labels.
 pub fn labeled_histogram(name: &'static str, labels: &[(&'static str, &str)]) -> Histogram {
     tracer().metrics.histogram(name, labels)
@@ -670,6 +685,36 @@ mod tests {
     pub(crate) fn sink_test_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    #[test]
+    fn max_exemplar_keeps_one_series_per_label_set() {
+        let series = |segment: &str| -> Vec<(String, f64)> {
+            metrics_snapshot()
+                .into_iter()
+                .filter(|m| m.name == "test.exemplar" && m.labels[0].1 == segment)
+                .map(|m| match m.value {
+                    metrics::MetricValue::Gauge(v) => (m.labels[1].1.clone(), v),
+                    other => panic!("{other:?}"),
+                })
+                .collect()
+        };
+        for (trace_id, secs) in [("a", 0.5), ("b", 0.25), ("c", 2.0), ("d", 2.0), ("e", 1.0)] {
+            max_exemplar(
+                "test.exemplar",
+                &[("segment", "sim")],
+                ("trace_id", trace_id),
+                secs,
+            );
+        }
+        max_exemplar(
+            "test.exemplar",
+            &[("segment", "wal")],
+            ("trace_id", "f"),
+            0.0,
+        );
+        assert_eq!(series("sim"), vec![("c".to_string(), 2.0)]);
+        assert_eq!(series("wal"), vec![("f".to_string(), 0.0)]);
     }
 
     #[test]

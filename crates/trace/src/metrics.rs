@@ -231,6 +231,40 @@ impl Registry {
         }
     }
 
+    pub(crate) fn max_exemplar(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        exemplar: (&'static str, &str),
+        value: f64,
+    ) {
+        let mut key = Self::key(name, labels);
+        let mut m = self.metrics.lock();
+        let kept = m.iter().find_map(|(k, metric)| match metric {
+            Metric::Gauge(g)
+                if k.name == name
+                    && k.labels.len() == key.labels.len() + 1
+                    && k.labels.starts_with(&key.labels)
+                    && k.labels[key.labels.len()].0 == exemplar.0 =>
+            {
+                Some((k.clone(), g.get()))
+            }
+            _ => None,
+        });
+        if let Some((k, best)) = kept {
+            if best >= value {
+                return;
+            }
+            m.remove(&k);
+        }
+        key.labels.push((exemplar.0, exemplar.1.to_string()));
+        let gauge = Gauge(Arc::new(AtomicU64::new(0)));
+        gauge.set(value);
+        if m.insert(key, Metric::Gauge(gauge)).is_some() {
+            panic!("metric {name:?} already registered with a different type");
+        }
+    }
+
     pub(crate) fn snapshot(&self) -> Vec<MetricSnapshot> {
         let m = self.metrics.lock();
         let mut out: Vec<MetricSnapshot> = m

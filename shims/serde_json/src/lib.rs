@@ -40,11 +40,19 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
     Ok(out)
 }
 
-/// Parse a JSON string into any deserializable type.
+/// Deepest array/object nesting [`from_str`] accepts. The parser
+/// recurses once per level, so without a limit a short hostile input
+/// (`[[[[…`) would overflow the stack and abort the process; past the
+/// limit it returns `Err` instead.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON string into any deserializable type. Nesting deeper than
+/// [`MAX_DEPTH`] is an error.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -163,6 +171,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -204,8 +214,19 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -513,6 +534,28 @@ mod tests {
         let text = to_string(&s).unwrap();
         let back: String = from_str(&text).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        // A 10,000-deep body used to recurse once per level; on a small
+        // stack that aborted the whole process. It must be a plain `Err`.
+        let handle = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let deep = "[".repeat(10_000);
+                let err = from_str::<Value>(&deep).unwrap_err().to_string();
+                assert!(err.contains("nesting deeper than 128"), "{err}");
+                let objects = "{\"a\":".repeat(10_000);
+                assert!(from_str::<Value>(&objects).is_err());
+            })
+            .unwrap();
+        handle.join().expect("parser thread survived");
+        // Exactly the limit still parses.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        assert!(from_str::<Value>(&over).is_err());
     }
 
     #[test]
