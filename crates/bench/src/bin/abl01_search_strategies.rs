@@ -5,7 +5,7 @@
 use serde::Serialize;
 use tunio_iosim::Simulator;
 use tunio_params::ParameterSpace;
-use tunio_tuner::{AllParams, EvalEngine, GaConfig, GaTuner, HillClimb, NoStop, RandomSearch};
+use tunio_tuner::{run_ga, AllParams, EvalEngine, GaConfig, HillClimb, NoStop, RandomSearch};
 use tunio_workloads::{hacc, Variant, Workload};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -57,12 +57,12 @@ fn main() {
     let ga: Vec<(u64, f64, f64)> = seeds
         .iter()
         .map(|&seed| {
-            let mut tuner = GaTuner::new(GaConfig {
+            let cfg = GaConfig {
                 max_iterations: ITERS,
                 seed,
                 ..GaConfig::default()
-            });
-            let t = tuner.run(&engine(seed), &mut NoStop, &mut AllParams);
+            };
+            let t = run_ga(&engine(seed), cfg, &mut NoStop, &mut AllParams);
             (seed, t.best_perf / GIB, t.total_cost_min())
         })
         .collect();

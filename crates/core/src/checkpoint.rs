@@ -8,7 +8,8 @@
 //! Every following line is one completed generation carrying:
 //!
 //! * the generation number and its [`IterationRecord`],
-//! * the GA RNG state after that generation's breeding,
+//! * the search strategy's RNG state and serialized state after the
+//!   generation,
 //! * the evaluated population and the best genome so far,
 //! * every memo-cache entry first *charged* during the generation
 //!   (report, perf, per-layer profile) — the [`tunio_tuner::EvalEngine`]
@@ -27,17 +28,17 @@
 //! "loaded". Instead, a resumed campaign re-runs from generation 1 with
 //! the WAL's cache entries preloaded into the engine
 //! ([`tunio_tuner::EvalEngine::preload`]). Replayed generations are then
-//! served from the cache with full miss bookkeeping in the original
-//! serial order — identical costs, counters and profile accumulator, and
-//! **no simulator time** — while the per-generation RNG states stored
-//! here let the resumed run prove it retraced the original trajectory
-//! before extending the log. Evaluations that *failed* in the original
+//! served from the cache with full miss bookkeeping — identical costs
+//! and counters, and **no simulator time** — while the per-generation
+//! RNG states, strategy snapshots and charged keys stored here let the
+//! resumed run prove it retraced the original trajectory before
+//! extending the log. Evaluations that *failed* in the original
 //! run were never journaled; the resumed run re-draws their faults
 //! deterministically and fails them identically.
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write as IoWrite};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,7 +77,7 @@ pub struct CheckpointHeader {
 pub struct CheckpointGeneration {
     /// Generation number (1-based, contiguous from 1).
     pub iteration: u32,
-    /// GA RNG state after this generation's breeding.
+    /// Search-strategy RNG state after this generation.
     pub rng_state: [u64; 4],
     /// The generation's trace record.
     pub record: IterationRecord,
@@ -88,10 +89,10 @@ pub struct CheckpointGeneration {
     pub stopped: bool,
     /// Memo-cache entries first charged during this generation.
     pub entries: Vec<CacheEntry>,
-    /// Serialized search-strategy state after this generation, for
-    /// campaigns run through the pluggable-strategy scheduler. `None`
-    /// for classic GA campaigns — the field is omitted from their WAL
-    /// lines, keeping the on-disk format byte-compatible.
+    /// Serialized search-strategy state after this generation. `None`
+    /// only in WALs written by the generation-synchronous GA loop of
+    /// earlier releases ([`CheckpointHeader::is_classic`]), whose lines
+    /// omit the field.
     pub strategy_state: Option<String>,
 }
 
@@ -245,8 +246,27 @@ impl CheckpointHeader {
         })
     }
 
+    /// Whether the header was written by the generation-synchronous GA
+    /// loop of earlier releases, whose `kind` carries no
+    /// ` [strategy=...]` suffix.
+    pub fn is_classic(&self) -> bool {
+        !self.kind.contains(" [strategy=")
+    }
+
+    /// `kind` with its search-backend suffix. Classic headers
+    /// ([`CheckpointHeader::is_classic`]) were all written by the GA, so
+    /// they read as `[strategy=ga]`.
+    pub fn full_kind(&self) -> String {
+        if self.is_classic() {
+            format!("{} [strategy=ga]", self.kind)
+        } else {
+            self.kind.clone()
+        }
+    }
+
     /// Error unless `self` (stored) matches `other` (the resuming
-    /// campaign) field-for-field.
+    /// campaign) field-for-field, reading `kind` as
+    /// [`CheckpointHeader::full_kind`].
     pub fn ensure_matches(&self, other: &CheckpointHeader) -> Result<(), CheckpointError> {
         let fields: [(&'static str, String, String); 8] = [
             (
@@ -256,7 +276,7 @@ impl CheckpointHeader {
             ),
             ("app", self.app.clone(), other.app.clone()),
             ("variant", self.variant.clone(), other.variant.clone()),
-            ("kind", self.kind.clone(), other.kind.clone()),
+            ("kind", self.full_kind(), other.full_kind()),
             (
                 "max_iterations",
                 self.max_iterations.to_string(),
@@ -445,13 +465,6 @@ impl CheckpointWriter {
             .map_err(|e| CheckpointError::BadHeader(format!("{e:?}")))?;
         writeln!(file, "{line}")?;
         file.flush()?;
-        Ok(CheckpointWriter { file })
-    }
-
-    /// Reopen an existing checkpoint for appending (after a resume has
-    /// verified the stored prefix).
-    pub fn append(path: &Path) -> Result<Self, CheckpointError> {
-        let file = OpenOptions::new().append(true).open(path)?;
         Ok(CheckpointWriter { file })
     }
 

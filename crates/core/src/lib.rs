@@ -17,7 +17,10 @@
 //!
 //! [`api::TunIo`] exposes the paper's Table I interface (`stop`,
 //! `discover_io`, `subset_picker`); [`pipeline`] assembles the end-to-end
-//! tuning campaigns evaluated in §IV; [`roti`] implements the Return on
+//! tuning campaigns evaluated in §IV, every one of them a search strategy
+//! (the GA unless told otherwise) driven by the asynchronous scheduler
+//! with the pipeline's stopper and subset agent attached; [`roti`]
+//! implements the Return on
 //! Tuning Investment metric; [`viability`] the production-lifecycle model
 //! of Fig 12.
 //!

@@ -16,8 +16,8 @@
 use std::path::{Path, PathBuf};
 use tunio::agents::{early_stop_key, smart_config_key, snapshot_path, SNAPSHOT_VERSION};
 use tunio::pipeline::{
-    outcome_json, run_campaign_opts, run_strategy_campaign_opts, CampaignOptions, CampaignSpec,
-    PipelineKind, StrategyKind,
+    outcome_json, run_strategy_campaign_opts, CampaignOptions, CampaignSpec, PipelineKind,
+    StrategyKind,
 };
 use tunio_workloads::{hacc, Variant};
 
@@ -39,17 +39,14 @@ fn spec(kind: PipelineKind, iterations: u32, seed: u64, large_scale: bool) -> Ca
     }
 }
 
-/// `outcome_json` of one campaign; `None` = the classic GA loop.
+/// `outcome_json` of one campaign; `None` = the default GA.
 fn outcome(spec: &CampaignSpec, strategy: Option<StrategyKind>, store: Option<&Path>) -> String {
     let opts = CampaignOptions {
         threads: Some(1),
         agent_store: store.map(Path::to_path_buf),
         ..CampaignOptions::default()
     };
-    let outcome = match strategy {
-        Some(s) => run_strategy_campaign_opts(spec, s, &opts),
-        None => run_campaign_opts(spec, &opts),
-    };
+    let outcome = run_strategy_campaign_opts(spec, strategy.unwrap_or(StrategyKind::Ga), &opts);
     outcome_json(&outcome.expect("campaign runs"))
 }
 

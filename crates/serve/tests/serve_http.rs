@@ -417,6 +417,30 @@ fn boot_quarantines_alien_wals_and_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A WAL written by the generation-synchronous GA loop of earlier
+/// releases (no `[strategy=]` suffix in its header, killed after
+/// generation 3 with a torn tail, no meta sidecar) resumes at boot as a
+/// GA campaign and finishes with the outcome its uninterrupted run wrote.
+#[test]
+fn boot_recovery_resumes_a_classic_ga_wal() {
+    let dir = test_dir("classic");
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/fixtures");
+    std::fs::copy(
+        fixtures.join("classic_tunio_hacc.jsonl"),
+        dir.join("r--classic.jsonl"),
+    )
+    .unwrap();
+    let mut daemon = Daemon::start(config(&dir, 1)).expect("daemon boots");
+    let v = await_settled(daemon.addr(), "r--classic");
+    assert_eq!(state_of(&v), "done", "{v:?}");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("r--classic.outcome.json")).unwrap(),
+        std::fs::read_to_string(fixtures.join("classic_tunio_hacc.outcome.json")).unwrap()
+    );
+    daemon.drain_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Like [`http`] but returns the raw response (status line + headers +
 /// body) so tests can assert on headers.
 fn http_raw(addr: SocketAddr, method: &str, path: &str) -> String {

@@ -155,14 +155,18 @@ struct GaState {
 
 /// The paper's genetic algorithm behind the [`SearchStrategy`] contract.
 ///
-/// Ported gene-for-gene from [`crate::ga::GaTuner`]: same initial
-/// population (default + 0.12-rate partial mutants), same tournament
-/// selection (best two of `tournament` draws), same elitism and masked
-/// crossover/mutation — driven with observations in proposal order it
-/// reproduces the `GaTuner` RNG stream exactly. It is *generation
-/// synchronous*: `propose` returns nothing while any individual of the
-/// current generation is unevaluated, which is precisely the barrier
-/// the asynchronous backends exist to remove.
+/// The initial population is the default configuration plus 0.12-rate
+/// partial mutants of it within the first active subset: tuning starts
+/// from the deployed defaults, and a high-performing configuration
+/// usually needs several genes right at once, so it is assembled over
+/// generations. Each next generation keeps the `elite` best unchanged and
+/// fills up with children of tournament selection (best two of
+/// `tournament` draws), masked crossover and masked mutation. It is
+/// *generation synchronous*: `propose` returns nothing while any
+/// individual of the current generation is unevaluated, which is
+/// precisely the barrier the asynchronous backends exist to remove.
+/// Run it with a record window of [`GaConfig::generation_size`] so one
+/// trace record is one generation.
 #[derive(Debug)]
 pub struct GaStrategy {
     cfg: GaConfig,
@@ -191,14 +195,14 @@ impl GaStrategy {
             next_propose: 0,
             scored: Vec::new(),
             generation: 1,
-            done: false,
+            done: cfg.max_iterations == 0,
             initialized: false,
             seeds: Vec::new(),
         }
     }
 
     fn pop_size(&self) -> usize {
-        self.cfg.population.max(2)
+        self.cfg.generation_size()
     }
 
     fn breed(&mut self) {

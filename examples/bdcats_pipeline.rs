@@ -11,7 +11,7 @@ use tunio::TunIo;
 use tunio_iosim::Simulator;
 use tunio_params::{ParamId, ParameterSpace};
 use tunio_rl::replay::Transition;
-use tunio_tuner::{EvalEngine, GaConfig, GaTuner, NoStop, SubsetProvider};
+use tunio_tuner::{run_ga, EvalEngine, GaConfig, NoStop, SubsetProvider};
 use tunio_workloads::{bdcats, Variant, Workload};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -61,12 +61,6 @@ fn main() {
         space.clone(),
         3,
     );
-    let mut tuner = GaTuner::new(GaConfig {
-        max_iterations: 1, // we drive the loop ourselves, one generation at a time
-        seed: 3,
-        ..GaConfig::default()
-    });
-
     // Hand-rolled tuning loop using the Table-I `stop` API as the
     // termination condition. Each "round" runs one GA generation.
     let mut best = 0.0f64;
@@ -77,9 +71,14 @@ fn main() {
             tunio: &mut tunio,
             current: ParamId::ALL.to_vec(),
         };
-        // Run a single generation (GaTuner with max_iterations = 1
-        // resumes from scratch; for the demo we track the best ourselves).
-        let trace = tuner.run(&engine, &mut NoStop, &mut subsets);
+        // Run a single generation, seeded per round (each run starts
+        // from scratch; for the demo we track the best ourselves).
+        let cfg = GaConfig {
+            max_iterations: 1,
+            seed: 3 + round as u64,
+            ..GaConfig::default()
+        };
+        let trace = run_ga(&engine, cfg, &mut NoStop, &mut subsets);
         best = best.max(trace.best_perf);
         println!(
             "round {:>2}: best {:.2} GiB/s (subset size {})",
